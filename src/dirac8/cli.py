@@ -25,6 +25,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _quantum_params(args) -> QuantumParams:
     if args.units == "natural":
         return QuantumParams(epsilon=args.epsilon)
@@ -173,12 +184,13 @@ def cmd_evolve(args) -> int:
 
     dt = args.t_total / args.samples
     snapshots = [(0.0, state0)]
-    state = state0
-    centroids = [(0.0, evolution.packet_centroid(state0))]
-    for i in range(args.samples):
-        state = evolution.evolve(state, dt, 1, qp, method=args.method)
-        centroids.append((state.t, evolution.packet_centroid(state)))
-        if i + 1 in (args.samples // 2, args.samples):
+    times = [0.0]
+    positions = [evolution.packet_centroid(state0)]
+    samples = evolution.evolve_samples(state0, dt, args.samples, qp, method=args.method)
+    for i, state in enumerate(samples, start=1):
+        times.append(state.t)
+        positions.append(evolution.packet_centroid(state))
+        if i in (args.samples // 2, args.samples):
             snapshots.append((state.t, state))
 
     lines = _header(args, args.epsilon)
@@ -189,11 +201,7 @@ def cmd_evolve(args) -> int:
             lines.append(",".join([_fmt(t), _fmt(z)] + [_fmt(inten[c, j]) for c in range(4)]))
     _write(args.output, "\n".join(lines) + "\n")
 
-    pos = np.array([p for _, p in centroids])
-    d = np.mod(np.diff(pos) + args.L / 2, args.L) - args.L / 2
-    unwrapped = pos[0] + np.concatenate([[0.0], np.cumsum(d)])
-    ts = np.array([t for t, _ in centroids])
-    v_meas = float(np.polyfit(ts, unwrapped, 1)[0])
+    v_meas, _ = evolution.centroid_velocity(times, positions, args.L)
     v_ref = dispersion.group_velocity(branch, args.k0, qp) if args.k0 != 0 else 0.0
     summary = {
         "branch": branch.label, "k0": args.k0, "epsilon": args.epsilon,
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=int, default=1024)
     p.add_argument("--L", type=float, default=200.0)
     p.add_argument("--t-total", type=float, default=40.0)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--method", choices=("spectral", "rk4"), default="spectral")
     p.add_argument("--output", "-o", default=None, help="snapshot CSV")
     p.add_argument("--summary", default=None, help="summary JSON path")
@@ -280,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    evolution.max_threads()  # validate DIRAC8_THREADS early
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -2,22 +2,29 @@
 second-order (Klein-Gordon-type) system on a periodic grid.
 
 The systems are linear with constant coefficients, so evolution is done per
-Fourier mode.  The default propagator is exact (eigendecomposition of the
-4x4 momentum-space matrix per mode, with a matrix-exponential fallback near
-degeneracies); an RK4 method-of-lines stepper is provided as an independent
+Fourier mode.  The eigensystem of the 4x4 momentum-space sector matrix H(k)
+is known in closed form (``modes``): the four branch energies, the unit right
+eigenvectors R and the dual left rows Lt with Lt R = I.  H is
+pseudo-Hermitian, eta H = H^T eta with eta = diag(eps^2, eps^2, 1, 1), so each
+left row is eta times its right vector up to scale.  The default propagator
+projects the Fourier coefficients with Lt, advances each branch by its phase
+exp(-i E t / hbar) and reconstructs with R.  No numerical eigen-solve is
+involved, and at k = 0, where the acoustic energies coincide, the two
+acoustic vectors stay independent by construction.  An RK4 method-of-lines
+stepper on the assembled sector matrices is provided as an independent
 cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .dispersion import Branch
+from .dispersion import BRANCHES, Branch
 from .matrices import spin_sector_hamiltonian
 from .params import ContinuumParams, QuantumParams
 
@@ -63,6 +70,11 @@ class KgfFieldState:
     dphi_dt: np.ndarray
     t: float = 0.0
 
+    def __post_init__(self):
+        for name in ("psi", "phi", "dpsi_dt", "dphi_dt"):
+            if getattr(self, name).shape != (self.n_grid,):
+                raise ValueError(f"{name} must have shape (n_grid,)")
+
     @property
     def dz(self) -> float:
         return self.L / self.n_grid
@@ -93,25 +105,42 @@ def _wavenumbers(n_grid: int, L: float) -> np.ndarray:
     return 2 * math.pi * np.fft.fftfreq(n_grid, d=L / n_grid)
 
 
-def branch_vector(branch: Branch, k: float, params: QuantumParams) -> np.ndarray:
-    """Unit eigenvector (b1, b3, d1, d3) of the sector matrix, continuous in k.
+def modes(ks, params: QuantumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigensystem (E, R, Lt) of the sector matrix at each wavenumber.
 
-    For the negative optical branch the vector is built from the rationalized
-    amplitude form, which stays finite through k = 0.
+    All three are real, with shapes (n, 4), (n, 4, 4) and (n, 4, 4); branch
+    index j follows ``dispersion.BRANCHES``.  E[:, j] is the branch energy,
+    the column R[:, :, j] the unit right eigenvector (b1, b3, d1, d3), and
+    the row Lt[:, j, :] its dual left eigenvector, so Lt @ R = I and
+    H = R diag(E) Lt.  Each right vector is (u, g u) up to scale, where u is
+    (b1, b3) normalised, g = 1 on the acoustic and g = -eps^2 on the optical
+    branches; the left rows are (eps^2 u, u) and (u, -u) up to scale.  The
+    negative optical u uses the rationalized amplitude form, which stays
+    finite through k = 0.
     """
+    cp = params.c * (params.hbar * np.asarray(ks, dtype=float))
     eps2 = params.epsilon**2
-    if branch.kind == "acoustic":
-        s = branch.energy_sign
-        v = np.array([1.0, s, 1.0, s], dtype=complex)
-    else:
-        cp = params.c * params.hbar * k
-        E_abs = math.hypot(cp, params.gap_energy)
-        if branch.energy_sign > 0:
-            b1, b3 = E_abs + params.gap_energy, cp
-        else:
-            b1, b3 = cp, -(E_abs + params.gap_energy)
-        v = np.array([b1, b3, -eps2 * b1, -eps2 * b3], dtype=complex)
-    return v / np.linalg.norm(v)
+    gap = params.gap_energy
+    E_opt = np.sqrt(cp**2 + gap**2)
+    one = np.ones_like(cp)
+    # rows are branches, the last axis runs over k
+    b1 = np.array([one, one, E_opt + gap, cp])
+    b3 = np.array([one, -one, cp, -(E_opt + gap)])
+    inv_norm = 1.0 / np.sqrt(b1**2 + b3**2)
+    u1, u3 = b1 * inv_norm, b3 * inv_norm
+    U = np.array([u1, u3, u1, u3])  # (component, branch, k)
+    # per-branch weight of u in each component: right columns (u, g u) and
+    # left rows (h u, f u), scaled so columns are unit and Lt R = I
+    g = np.array([1.0, 1.0, -eps2, -eps2])
+    h = np.array([eps2, eps2, 1.0, 1.0])
+    f = np.array([1.0, 1.0, -1.0, -1.0])
+    scale = np.sqrt(1.0 + g**2)
+    right = np.array([1.0 / scale, 1.0 / scale, g / scale, g / scale])
+    left = np.array([h, h, f, f]) * (scale / (1.0 + eps2))
+    R = (U * right[:, :, None]).transpose(2, 0, 1)
+    Lt = (U * left[:, :, None]).transpose(2, 1, 0)
+    E = np.array([cp, -cp, E_opt, -E_opt])
+    return E.T, R, Lt
 
 
 def init_packet(spec: PacketSpec, n_grid: int, L: float,
@@ -125,11 +154,8 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
     ks = _wavenumbers(n_grid, L)
     weights = np.exp(-0.5 * (ks - spec.k0) ** 2 * spec.sigma**2)
     weights = weights * np.exp(-1j * ks * spec.center)
-    coeffs = np.zeros((4, n_grid), dtype=complex)
-    for i, k in enumerate(ks):
-        if weights[i] == 0:
-            continue
-        coeffs[:, i] = weights[i] * branch_vector(spec.branch, k, params)
+    _, R, _ = modes(ks, params)
+    coeffs = weights * R[:, :, BRANCHES.index(spec.branch)].T
     fields = np.fft.ifft(coeffs, axis=1) * n_grid
     peak = np.abs(fields).max()
     if peak > 0:
@@ -138,62 +164,82 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
 
 
 def _sector_matrices(ks: np.ndarray, params: QuantumParams) -> np.ndarray:
-    Hs = np.empty((len(ks), 4, 4), dtype=complex)
-    for i, k in enumerate(ks):
-        Hs[i] = spin_sector_hamiltonian(params.hbar * k, params)
-    return Hs
+    """Sector matrix per wavenumber; H is affine in the momentum p = hbar k."""
+    H0 = spin_sector_hamiltonian(0.0, params)
+    dH = spin_sector_hamiltonian(1.0, params) - H0
+    return H0 + (params.hbar * ks)[:, None, None] * dH
 
 
-def _propagators(Hs: np.ndarray, T: float, params: QuantumParams) -> np.ndarray:
-    """exp(-i H T / hbar) per mode via eigendecomposition, expm near degeneracy."""
-    n = Hs.shape[0]
-    out = np.empty_like(Hs)
-    w, V = np.linalg.eig(Hs)
-    scale = max(np.abs(w).max(), 1.0)
-    for i in range(n):
-        ww = np.sort(w[i].real)
-        gap = np.diff(ww).min() if len(ww) > 1 else np.inf
-        if gap < 1e-8 * scale:
-            out[i] = scipy.linalg.expm(-1j * Hs[i] * T / params.hbar)
-        else:
-            phases = np.exp(-1j * w[i] * T / params.hbar)
-            out[i] = (V[i] * phases) @ np.linalg.inv(V[i])
-    return out
+def _project(state: FieldState, Lt: np.ndarray) -> np.ndarray:
+    """Branch coefficients (n, 4) of the state's Fourier coefficients."""
+    return np.einsum("kji,ik->kj", Lt, np.fft.fft(state.fields, axis=1))
+
+
+def _modal_propagator(state: FieldState, params: QuantumParams):
+    """Project the state onto the branch modes once; return t -> state at state.t + t.
+
+    Each call is then a phase multiply, a reconstruction with R and one
+    inverse FFT.
+    """
+    E, R, Lt = modes(_wavenumbers(state.n_grid, state.L), params)
+    x = _project(state, Lt)
+
+    def at(t: float) -> FieldState:
+        coeffs = np.einsum("kij,kj->ik", R, x * np.exp((-1j * t / params.hbar) * E))
+        return FieldState(state.n_grid, state.L, np.fft.ifft(coeffs, axis=1),
+                          state.t + t)
+
+    return at
 
 
 def evolve(state: FieldState, dt: float, n_steps: int, params: QuantumParams,
            method: str = "spectral") -> FieldState:
     """Advance the sector field by n_steps of size dt.
 
-    'spectral' applies the exact per-mode propagator for the total interval in
+    'spectral' applies the exact modal propagator for the total interval in
     one shot (dt * n_steps); 'rk4' takes n_steps classical RK4 steps of the
     method-of-lines system with spectral spatial derivatives, subject to
     dt < dz / (4 c).
     """
-    ks = _wavenumbers(state.n_grid, state.L)
-    Hs = _sector_matrices(ks, params)
-    coeffs = np.fft.fft(state.fields, axis=1).T  # (n, 4)
     if method == "spectral":
-        P = _propagators(Hs, dt * n_steps, params)
-        coeffs = np.einsum("kij,kj->ki", P, coeffs)
-    elif method == "rk4":
-        if dt >= state.dz / (4 * params.c):
-            raise ValueError("rk4 step too large: require dt < dz / (4 c)")
-        M = -1j * Hs / params.hbar
-
-        def rhs(c):
-            return np.einsum("kij,kj->ki", M, c)
-
-        for _ in range(n_steps):
-            k1 = rhs(coeffs)
-            k2 = rhs(coeffs + 0.5 * dt * k1)
-            k3 = rhs(coeffs + 0.5 * dt * k2)
-            k4 = rhs(coeffs + dt * k3)
-            coeffs = coeffs + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:
+        return _modal_propagator(state, params)(dt * n_steps)
+    if method != "rk4":
         raise ValueError(f"unknown method {method!r}")
+    if dt >= state.dz / (4 * params.c):
+        raise ValueError("rk4 step too large: require dt < dz / (4 c)")
+    M = -1j * _sector_matrices(_wavenumbers(state.n_grid, state.L), params) / params.hbar
+
+    def rhs(c):
+        return np.einsum("kij,kj->ki", M, c)
+
+    coeffs = np.fft.fft(state.fields, axis=1).T  # (n, 4)
+    for _ in range(n_steps):
+        k1 = rhs(coeffs)
+        k2 = rhs(coeffs + 0.5 * dt * k1)
+        k3 = rhs(coeffs + 0.5 * dt * k2)
+        k4 = rhs(coeffs + dt * k3)
+        coeffs = coeffs + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     fields = np.fft.ifft(coeffs.T, axis=1)
     return FieldState(state.n_grid, state.L, fields, state.t + dt * n_steps)
+
+
+def evolve_samples(state: FieldState, dt: float, n_samples: int,
+                   params: QuantumParams,
+                   method: str = "spectral") -> Iterator[FieldState]:
+    """Yield the states at state.t + i * dt for i = 1 .. n_samples.
+
+    'spectral' projects onto the branch modes once and evaluates the exact
+    propagator at each sample time; 'rk4' takes one ``evolve`` step of size
+    dt from each sample to the next.
+    """
+    if method == "spectral":
+        at = _modal_propagator(state, params)
+        for i in range(1, n_samples + 1):
+            yield at(i * dt)
+        return
+    for _ in range(n_samples):
+        state = evolve(state, dt, 1, params, method=method)
+        yield state
 
 
 def packet_centroid(state: FieldState) -> float:
@@ -218,19 +264,32 @@ def packet_width(state: FieldState) -> float:
     return float(math.sqrt(np.sum(intensity * d**2) / total))
 
 
-def conserved_quadratic(state: FieldState, params: QuantumParams) -> float:
-    """Sum of squared eigenmode coefficients over all Fourier modes.
+def centroid_velocity(times, positions, L: float) -> tuple[float, float]:
+    """Least-squares slope of a centroid track on a ring of length L.
 
-    Constant under exact evolution because the per-mode spectrum is real.
-    This is not the plain L2 norm, which is conserved only when the sector
-    matrix is Hermitian (eps = 1).
+    Returns (slope, |net displacement|).  Consecutive positions are unwrapped
+    to the nearest periodic image, so samples must move less than L/2 apart.
     """
-    ks = _wavenumbers(state.n_grid, state.L)
-    Hs = _sector_matrices(ks, params)
-    coeffs = np.fft.fft(state.fields, axis=1).T
-    _, V = np.linalg.eig(Hs)
-    x = np.linalg.solve(V, coeffs[:, :, None])[:, :, 0]
-    return float(np.sum(np.abs(x) ** 2))
+    pos = np.asarray(positions, dtype=float)
+    d = np.mod(np.diff(pos) + L / 2, L) - L / 2
+    unwrapped = pos[0] + np.concatenate([[0.0], np.cumsum(d)])
+    slope = np.polyfit(np.asarray(times, dtype=float), unwrapped, 1)[0]
+    return float(slope), float(abs(unwrapped[-1] - unwrapped[0]))
+
+
+def conserved_quadratic(state: FieldState, params: QuantumParams) -> float:
+    """Metric norm sum_k |Lt(k) c(k)|^2 of the Fourier coefficients c(k).
+
+    Lt c are the coefficients on the four branch modes, which only change
+    phase under exact evolution, so the sum is constant.  Equivalently it is
+    sum_k c^H G c with the positive metric G = Lt^H Lt, for which G H = H^H G
+    (H is pseudo-Hermitian).  The closed-form modes keep the degenerate
+    acoustic pair at k = 0 independent, so the value does not depend on a
+    choice of basis there.  This is not the plain L2 norm, which is conserved
+    only when the sector matrix is Hermitian (eps = 1).
+    """
+    _, _, Lt = modes(_wavenumbers(state.n_grid, state.L), params)
+    return float(np.sum(np.abs(_project(state, Lt)) ** 2))
 
 
 def measure_group_velocity(spec: PacketSpec, params: QuantumParams,
@@ -244,28 +303,19 @@ def measure_group_velocity(spec: PacketSpec, params: QuantumParams,
     min_displacement is overridden, above 10 grid spacings.
     """
     state = init_packet(spec, n_grid, L, params)
-    dz = state.dz
     if min_displacement is None:
-        min_displacement = 10 * dz
-    dt = t_total / n_samples
-    times = [0.0]
+        min_displacement = 10 * state.dz
+    times = [state.t]
     positions = [packet_centroid(state)]
-    for _ in range(n_samples):
-        state = evolve(state, dt, 1, params, method=method)
-        times.append(state.t)
-        positions.append(packet_centroid(state))
-    # unwrap periodic jumps
-    pos = np.array(positions)
-    d = np.diff(pos)
-    d = np.mod(d + L / 2, L) - L / 2
-    unwrapped = pos[0] + np.concatenate([[0.0], np.cumsum(d)])
-    displacement = abs(unwrapped[-1] - unwrapped[0])
+    for s in evolve_samples(state, t_total / n_samples, n_samples, params, method):
+        times.append(s.t)
+        positions.append(packet_centroid(s))
+    slope, displacement = centroid_velocity(times, positions, L)
     if displacement > L / 4:
         raise ValueError("packet displacement exceeds L/4; shorten the run")
     if displacement < min_displacement:
         raise ValueError("packet displacement below the measurement floor; lengthen the run")
-    slope = np.polyfit(np.array(times), unwrapped, 1)[0]
-    return float(slope)
+    return slope
 
 
 def init_kgf_from_fields(psi, phi, dpsi_dt, dphi_dt, L: float) -> KgfFieldState:
@@ -302,14 +352,3 @@ def evolve_kgf(state: KgfFieldState, T: float, params: ContinuumParams) -> KgfFi
         psi=np.fft.ifft(coeffs[:, 0]), phi=np.fft.ifft(coeffs[:, 1]),
         dpsi_dt=np.fft.ifft(coeffs[:, 2]), dphi_dt=np.fft.ifft(coeffs[:, 3]),
         t=state.t + T)
-
-
-def max_threads() -> int:
-    """Thread cap from the DIRAC8_THREADS environment variable (default: no cap)."""
-    raw = os.environ.get("DIRAC8_THREADS", "")
-    if not raw:
-        return 0
-    n = int(raw)
-    if n < 1:
-        raise ValueError("DIRAC8_THREADS must be a positive integer")
-    return n

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +160,28 @@ def test_evolve_stationary(tmp_path):
     assert code == 0
     s = json.loads(summ.read_text())
     assert abs(s["measured_group_velocity"]) < 0.01
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "two"])
+def test_evolve_rejects_nonpositive_samples(samples):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "dirac8.cli", "evolve",
+                           "--samples", samples],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--samples" in proc.stderr.splitlines()[-1]
+
+
+def test_evolve_deterministic(tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        csv, summ = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        code = main(["evolve", "--branch", "acoustic-", "--k0", "1.5",
+                     "--n-grid", "256", "--L", "100", "--t-total", "10",
+                     "--samples", "6", "-o", str(csv), "--summary", str(summ)])
+        assert code == 0
+        outputs.append((csv.read_bytes(), summ.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dirac8 import evolution as evo
 from dirac8 import planewaves as pw
 from dirac8.chain import measure_mode_frequency
-from dirac8.dispersion import (ACOUSTIC_PLUS, BRANCHES, OPTICAL_MINUS,
-                               OPTICAL_PLUS, branch_frequency, group_velocity)
+from dirac8.dispersion import (ACOUSTIC_MINUS, ACOUSTIC_PLUS, BRANCHES,
+                               OPTICAL_MINUS, OPTICAL_PLUS, branch_energy,
+                               branch_frequency, group_velocity)
+from dirac8.matrices import spin_sector_hamiltonian
 from dirac8.params import ContinuumParams, QuantumParams
 
 QP = QuantumParams(epsilon=0.5)
+EPSILONS = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0)
 
 
 def _plane_wave_state(branch, k0, n_grid=256, L=100.0, qp=QP):
@@ -219,11 +223,137 @@ def test_kgf_plane_wave_frequencies_both_branches():
     assert min(abs(measured - lo), abs(measured - hi)) < 2 * math.pi / (n_samp * tau)
 
 
-def test_thread_env_parsing(monkeypatch):
-    monkeypatch.delenv("DIRAC8_THREADS", raising=False)
-    assert evo.max_threads() == 0
-    monkeypatch.setenv("DIRAC8_THREADS", "4")
-    assert evo.max_threads() == 4
-    monkeypatch.setenv("DIRAC8_THREADS", "0")
+def _modes_grid(n_grid=64, L=100.0):
+    # the FFT wavenumbers, which include 0 and -k_max, plus +k_max
+    kmax = math.pi * n_grid / L
+    return np.append(evo._wavenumbers(n_grid, L), kmax)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_modes_are_the_eigensystem_of_the_sector_matrix(eps):
+    qp = QuantumParams(epsilon=eps)
+    ks = _modes_grid()
+    E, R, Lt = evo.modes(ks, qp)
+    assert E.shape == (len(ks), 4) and R.shape == Lt.shape == (len(ks), 4, 4)
+    for i, k in enumerate(ks):
+        H = spin_sector_hamiltonian(qp.hbar * k, qp)
+        scale = np.linalg.norm(H, 2)
+        assert np.linalg.norm(H @ R[i] - R[i] * E[i], 2) <= 1e-12 * scale
+        assert (np.linalg.norm(Lt[i] @ H - E[i][:, None] * Lt[i], 2)
+                <= 1e-12 * scale * np.linalg.norm(Lt[i], 2))
+        assert np.linalg.norm(Lt[i] @ R[i] - np.eye(4), 2) <= 1e-12
+        assert np.allclose(np.linalg.norm(R[i], axis=0), 1.0, rtol=0, atol=1e-15)
+        for j, b in enumerate(BRANCHES):
+            assert E[i, j] == pytest.approx(branch_energy(b, qp.hbar * k, qp),
+                                            rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_modes_match_numerical_eig(eps):
+    qp = QuantumParams(epsilon=eps)
+    ks = _modes_grid()
+    ks = ks[ks != 0]  # eig's basis of the degenerate acoustic pair is arbitrary
+    E, R, _ = evo.modes(ks, qp)
+    for i, k in enumerate(ks):
+        H = spin_sector_hamiltonian(qp.hbar * k, qp)
+        w, V = np.linalg.eig(H)
+        scale = np.linalg.norm(H, 2)
+        for j in range(4):
+            m = np.argmin(np.abs(w - E[i, j]))
+            assert abs(w[m] - E[i, j]) <= 1e-12 * scale
+            # same unit vector up to a phase
+            assert abs(abs(np.vdot(V[:, m], R[i, :, j])) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.5, 5.0))
+def test_spectral_evolve_matches_matrix_exponential(eps):
+    qp = QuantumParams(epsilon=eps)
+    n, L, T = 32, 20.0, 3.7
+    rng = np.random.default_rng(1)
+    fields = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    out = evo.evolve(evo.FieldState(n_grid=n, L=L, fields=fields), T, 1, qp)
+    coeffs = np.fft.fft(fields, axis=1)
+    ref = np.empty_like(coeffs)
+    for i, k in enumerate(evo._wavenumbers(n, L)):
+        H = spin_sector_hamiltonian(qp.hbar * k, qp)
+        ref[:, i] = scipy.linalg.expm(-1j * H * T / qp.hbar) @ coeffs[:, i]
+    ref = np.fft.ifft(ref, axis=1)
+    assert np.max(np.abs(out.fields - ref)) < 1e-12 * np.abs(fields).max()
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.5, 5.0))
+def test_acoustic_pair_at_zero_wavenumber(eps):
+    # at k = 0 both acoustic energies vanish: any mix of the two modes is
+    # stationary, and the metric norm does not depend on how it is split
+    qp = QuantumParams(epsilon=eps)
+    n, L = 16, 10.0
+    _, R, _ = evo.modes(np.zeros(1), qp)
+    a_plus, a_minus = R[0, :, 0], R[0, :, 1]
+    quads = []
+    for theta in np.linspace(0.0, math.pi / 2, 7):
+        vec = math.cos(theta) * a_plus + math.sin(theta) * 1j * a_minus
+        state = evo.FieldState(n_grid=n, L=L, fields=np.outer(vec, np.ones(n)))
+        out = evo.evolve(state, 13.0, 1, qp)
+        assert np.max(np.abs(out.fields - state.fields)) < 1e-14
+        quads.append(evo.conserved_quadratic(state, qp))
+    assert np.allclose(quads, n**2, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("eps", (0.25, 2.0))
+def test_conserved_quadratic_matches_eig_reference(eps):
+    # away from k = 0 the metric norm equals the squared coefficients on
+    # numpy's unit-norm eigenvectors, mode by mode
+    qp = QuantumParams(epsilon=eps)
+    n, L = 32, 20.0
+    rng = np.random.default_rng(2)
+    coeffs = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    coeffs[:, 0] = 0.0
+    state = evo.FieldState(n_grid=n, L=L, fields=np.fft.ifft(coeffs, axis=1))
+    ref = 0.0
+    for i, k in enumerate(evo._wavenumbers(n, L)):
+        _, V = np.linalg.eig(spin_sector_hamiltonian(qp.hbar * k, qp))
+        ref += np.sum(np.abs(np.linalg.solve(V, coeffs[:, i])) ** 2)
+    assert evo.conserved_quadratic(state, qp) == pytest.approx(ref, rel=1e-12)
+
+
+def test_production_path_needs_no_eigensolver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerical eigen-solve on the production path")
+
+    for name in ("eig", "eigvals", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    spec = evo.PacketSpec(k0=1.0, sigma=8.0, branch=OPTICAL_MINUS)
+    state = evo.init_packet(spec, 512, 100.0, QP)
+    evo.conserved_quadratic(evo.evolve(state, 3.0, 1, QP), QP)
+    evo.measure_group_velocity(spec, QP, n_grid=512, L=100.0, t_total=20.0,
+                               n_samples=12)
+
+
+def test_evolve_samples_match_single_shot_evolution():
+    spec = evo.PacketSpec(k0=1.0, sigma=5.0, branch=ACOUSTIC_MINUS, center=50.0)
+    state = evo.init_packet(spec, 256, 100.0, QP)
+    for method, dt in (("spectral", 1.5), ("rk4", 0.05)):
+        samples = list(evo.evolve_samples(state, dt, 4, QP, method=method))
+        assert [s.t for s in samples] == pytest.approx([dt, 2 * dt, 3 * dt, 4 * dt])
+        ref = evo.evolve(state, dt, 4, QP, method=method)
+        assert np.max(np.abs(samples[-1].fields - ref.fields)) < 1e-12
+
+
+def test_centroid_velocity_unwraps_the_ring():
+    L = 10.0
+    times = np.arange(6.0)
+    positions = np.mod(7.0 + 1.5 * times, L)  # wraps once
+    slope, displacement = evo.centroid_velocity(times, positions, L)
+    assert slope == pytest.approx(1.5, rel=1e-12)
+    assert displacement == pytest.approx(7.5, rel=1e-12)
+
+
+def test_kgf_state_shape_validation():
+    good = np.zeros(8, dtype=complex)
+    evo.KgfFieldState(n_grid=8, L=1.0, psi=good, phi=good, dpsi_dt=good, dphi_dt=good)
+    with pytest.raises(ValueError, match="dphi_dt"):
+        evo.KgfFieldState(n_grid=8, L=1.0, psi=good, phi=good, dpsi_dt=good,
+                          dphi_dt=np.zeros(7, dtype=complex))
     with pytest.raises(ValueError):
-        evo.max_threads()
+        evo.init_kgf_from_fields(good, good[:4], good, good, 1.0)
