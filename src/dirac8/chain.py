@@ -29,10 +29,6 @@ class LatticeState:
             if arr.shape != (self.n_sites,):
                 raise ValueError("all state arrays must have length n_sites")
 
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.n_sites, self.u.copy(), self.U.copy(),
-                            self.du_dt.copy(), self.dU_dt.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class ModePair:

@@ -25,21 +25,42 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded(convert, low=-math.inf, strict=False):
+    """argparse type: a finite int or float, at least low (above low if strict)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            valid = math.isfinite(value) and (value > low or (value == low and not strict))
+        except (ValueError, OverflowError):  # not a number, or an int beyond float range
+            valid = False
+        if not valid:
+            bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {convert.__name__}{bound}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _quantum_params(args) -> QuantumParams:
+_finite_float = _bounded(float)
+_positive_int = _bounded(int, 1)
+_positive_float = _bounded(float, 0.0, strict=True)
+_nonnegative_float = _bounded(float, 0.0)
+
+
+class _UsageError(Exception):
+    """A subcommand argument failed validation; ``main`` reports it and returns 2."""
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def _unit_params(args) -> QuantumParams:
     if args.units == "natural":
-        return QuantumParams(epsilon=args.epsilon)
-    return QuantumParams(m_e=args.m_e, epsilon=args.epsilon, c=args.c, hbar=args.hbar)
+        return QuantumParams()
+    return QuantumParams(m_e=args.m_e, c=args.c, hbar=args.hbar)
 
 
 def _header(args, epsilon) -> list[str]:
@@ -60,18 +81,15 @@ def _write(path, text: str) -> None:
 
 def _add_unit_flags(p) -> None:
     p.add_argument("--units", choices=("natural", "custom"), default="natural")
-    p.add_argument("--m-e", type=float, default=1.0, help="rest mass (custom units)")
-    p.add_argument("--c", type=float, default=1.0, help="speed of light (custom units)")
-    p.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant (custom units)")
+    p.add_argument("--m-e", type=_positive_float, default=1.0, help="rest mass (custom units)")
+    p.add_argument("--c", type=_positive_float, default=1.0, help="speed of light (custom units)")
+    p.add_argument("--hbar", type=_positive_float, default=1.0,
+                   help="reduced Planck constant (custom units)")
 
 
 def cmd_dispersion(args) -> int:
-    if args.pmax <= 0 or args.n < 2:
-        print("dispersion: need --pmax > 0 and --n >= 2", file=sys.stderr)
-        return 2
     eps_list = args.epsilon if args.epsilon else [0.5]
-    base = QuantumParams(m_e=args.m_e, c=args.c, hbar=args.hbar) \
-        if args.units == "custom" else QuantumParams()
+    base = _unit_params(args)
     grid = np.linspace(-args.pmax, args.pmax, args.n)
     lines = []
     for eps in eps_list:
@@ -140,15 +158,12 @@ def cmd_chain(args) -> int:
         "continuum_convergence_exponent": slope,
         "epsilon": scales.epsilon,
     }
-    if args.summary:
-        _write(args.summary, json.dumps(summary, indent=2) + "\n")
-    else:
-        print(json.dumps(summary, indent=2))
+    _write(args.summary, json.dumps(summary, indent=2) + "\n")
     return 0
 
 
 def cmd_solutions(args) -> int:
-    qp = _quantum_params(args)
+    qp = _unit_params(args).replace_epsilon(args.epsilon)
     sols = planewaves.catalog_eight(args.pz, qp)
     rng = np.random.default_rng(0)
     pts = [(t, z) for t, z in rng.uniform(-10, 10, size=(20, 2))]
@@ -172,7 +187,7 @@ def cmd_solutions(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    qp = _quantum_params(args)
+    qp = _unit_params(args).replace_epsilon(args.epsilon)
     try:
         branch = dispersion.parse_branch(args.branch)
         spec = evolution.PacketSpec(k0=args.k0, sigma=args.sigma, branch=branch,
@@ -180,7 +195,7 @@ def cmd_evolve(args) -> int:
         state0 = evolution.init_packet(spec, args.n_grid, args.L, qp)
     except ValueError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
     dt = args.t_total / args.samples
     snapshots = [(0.0, state0)]
@@ -208,10 +223,7 @@ def cmd_evolve(args) -> int:
         "measured_group_velocity": v_meas, "analytic_group_velocity": v_ref,
         "relative_error": abs(v_meas - v_ref) / abs(v_ref) if v_ref else None,
     }
-    if args.summary:
-        _write(args.summary, json.dumps(summary, indent=2) + "\n")
-    else:
-        print(json.dumps(summary, indent=2))
+    _write(args.summary, json.dumps(summary, indent=2) + "\n")
     return 0
 
 
@@ -221,19 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled-branch relativistic wave toolkit: dispersion tables, "
                     "plane-wave catalogs, chain simulation, packet evolution, and "
                     "verification reports.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p = sub.add_parser("dispersion", help="branch-energy table on a momentum grid")
-    p.add_argument("--epsilon", type=float, action="append", default=None,
+    p.add_argument("--epsilon", type=_nonnegative_float, action="append", default=None,
                    help="mass ratio; repeat for several datasets (default 0.5)")
-    p.add_argument("--pmax", type=float, default=3.0)
-    p.add_argument("--n", type=int, default=121)
+    p.add_argument("--pmax", type=_positive_float, default=3.0)
+    p.add_argument("--n", type=_bounded(int, 2), default=121)
     p.add_argument("--output", "-o", default=None)
     _add_unit_flags(p)
     p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=_nonnegative_float, default=0.5)
     p.add_argument("--fast", action="store_true",
                    help="skip the slower packet-velocity measurements")
     p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
@@ -242,18 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chain", help="simulate one normal mode of the ring")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--M", type=float, default=4.0)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--I", type=float, default=1.0)
-    p.add_argument("--J", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--m", type=_positive_float, default=1.0)
+    p.add_argument("--M", type=_positive_float, default=4.0)
+    p.add_argument("--K", type=_positive_float, default=1.0)
+    p.add_argument("--I", type=_nonnegative_float, default=1.0)
+    p.add_argument("--J", type=_nonnegative_float, default=1.0)
+    p.add_argument("--a", type=_positive_float, default=1.0)
     p.add_argument("--mode", type=int, default=2)
     p.add_argument("--n", type=int, default=128, help="number of ring sites")
     p.add_argument("--branch", choices=("acoustic", "optical"), default="optical")
-    p.add_argument("--amplitude", type=float, default=1e-3)
-    p.add_argument("--periods", type=float, default=8.0)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--amplitude", type=_positive_float, default=1e-3)
+    p.add_argument("--periods", type=_bounded(float, 3.0), default=8.0,
+                   help="run length in periods; the frequency fit needs at least 3")
+    p.add_argument("--dt", type=_positive_float, default=None)
     p.add_argument("--output", "-o", default=None, help="trajectory CSV")
     p.add_argument("--summary", default=None, help="summary JSON path")
     p.add_argument("--units", choices=("natural",), default="natural",
@@ -261,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("solutions", help="catalog of the eight plane-wave solutions")
-    p.add_argument("--pz", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--pz", type=_finite_float, default=1.0)
+    p.add_argument("--epsilon", type=_nonnegative_float, default=0.5)
     p.add_argument("--output", "-o", default=None)
     _add_unit_flags(p)
     p.set_defaults(func=cmd_solutions)
@@ -270,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="evolve a single-branch wave packet")
     p.add_argument("--branch", default="optical+",
                    choices=[b.label for b in dispersion.BRANCHES])
-    p.add_argument("--k0", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--sigma", type=float, default=5.0)
-    p.add_argument("--center", type=float, default=50.0)
-    p.add_argument("--n-grid", type=int, default=1024)
-    p.add_argument("--L", type=float, default=200.0)
-    p.add_argument("--t-total", type=float, default=40.0)
+    p.add_argument("--k0", type=_finite_float, default=1.0)
+    p.add_argument("--epsilon", type=_nonnegative_float, default=0.5)
+    p.add_argument("--sigma", type=_positive_float, default=5.0)
+    p.add_argument("--center", type=_finite_float, default=50.0)
+    p.add_argument("--n-grid", type=_positive_int, default=1024)
+    p.add_argument("--L", type=_positive_float, default=200.0)
+    p.add_argument("--t-total", type=_positive_float, default=40.0)
     p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--method", choices=("spectral", "rk4"), default="spectral")
     p.add_argument("--output", "-o", default=None, help="snapshot CSV")
@@ -288,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

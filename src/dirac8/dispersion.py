@@ -1,7 +1,8 @@
 """Analytic dispersion relations: the coupled continuum system, the four
-relativistic branches, phase/group velocities, and table generation.
+relativistic branches and their closed-form eigensystem (``modes``),
+phase/group velocities, and table generation.
 
-Note on the optical branch: the implemented frequency form is
+Note on the optical branch: the frequency is E(hbar k_z) / hbar, i.e.
 Omega^2 = c^2 k_z^2 + omega_O^2 + omega_A^2 (a single momentum term),
 consistent with the determinant factorization and the energy form
 E^2 = c^2 p_z^2 + (1 + eps^2) m_e^2 c^4.
@@ -77,23 +78,70 @@ def dirac_determinant(E: float, p_z: float, params: QuantumParams) -> float:
     return x * (x - params.gap_energy**2)
 
 
-def branch_energy(branch: Branch, p_z: float, params: QuantumParams) -> float:
-    """Energy of the given branch at momentum p_z.
+def branch_energy(branch: Branch, p_z, params: QuantumParams):
+    """Energy of the given branch at momentum p_z (a float or an array).
 
-    Acoustic: +/- c p_z.  Optical: +/- sqrt(c^2 p_z^2 + (1 + eps^2) m_e^2 c^4).
+    Acoustic: +/- c p_z.  Optical: +/- sqrt(c^2 p_z^2 + (1 + eps^2) m_e^2 c^4),
+    squared by a plain product so array and scalar calls agree bit for bit.
     """
+    cp = params.c * p_z
     if branch.kind == "acoustic":
-        return branch.energy_sign * params.c * p_z
-    return branch.energy_sign * math.sqrt(
-        (params.c * p_z) ** 2 + params.gap_energy**2)
+        return branch.energy_sign * cp
+    return branch.energy_sign * np.sqrt(cp * cp + params.gap_energy**2)
 
 
-def branch_frequency(branch: Branch, k_z: float, params: QuantumParams) -> float:
-    """Signed angular frequency Omega of the branch at wavenumber k_z."""
+def amplitude_pair(branch: Branch, p_z, params: QuantumParams):
+    """Unnormalised (b1, b3) of the branch eigenvector at momentum p_z.
+
+    Acoustic: (1, +/-1).  Positive optical: (E + gap, c p_z), with E the
+    positive optical energy.  Negative optical: the rationalized
+    (c p_z, -(E + gap)); the printed ratio b3/b1 = c p_z / (gap - E) has a
+    vanishing denominator at p_z = 0, whereas here only b1 vanishes there.
+    """
+    cp = params.c * p_z
     if branch.kind == "acoustic":
-        return branch.energy_sign * params.c * k_z
-    return branch.energy_sign * math.sqrt(
-        (params.c * k_z) ** 2 + params.omega_O**2 + params.omega_A**2)
+        one = np.ones_like(cp)
+        return one, branch.energy_sign * one
+    big = branch_energy(OPTICAL_PLUS, p_z, params) + params.gap_energy
+    return (big, cp) if branch.energy_sign > 0 else (cp, -big)
+
+
+def modes(ks, params: QuantumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigensystem (E, R, Lt) of the sector matrix at each wavenumber.
+
+    All three are real, with shapes (n, 4), (n, 4, 4) and (n, 4, 4); branch
+    index j follows ``BRANCHES``.  E[:, j] is the branch energy at p = hbar k,
+    the column R[:, :, j] the unit right eigenvector (b1, b3, d1, d3), and
+    the row Lt[:, j, :] its dual left eigenvector, so Lt @ R = I and
+    H = R diag(E) Lt.  Each right vector is (u, g u) up to scale, where u is
+    ``amplitude_pair`` normalised, g = 1 on the acoustic and g = -eps^2 on
+    the optical branches; the left rows are (eps^2 u, u) and (u, -u) up to
+    scale.  At k = 0 the two acoustic vectors stay independent.
+    """
+    p = params.hbar * np.asarray(ks, dtype=float)
+    eps2 = params.epsilon**2
+    E = np.array([branch_energy(b, p, params) for b in BRANCHES])
+    # rows are branches, the last axis runs over k
+    b1, b3 = np.array([amplitude_pair(b, p, params) for b in BRANCHES]).swapaxes(0, 1)
+    inv_norm = 1.0 / np.sqrt(b1**2 + b3**2)
+    u1, u3 = b1 * inv_norm, b3 * inv_norm
+    U = np.array([u1, u3, u1, u3])  # (component, branch, k)
+    # per-branch weight of u in each component: right columns (u, g u) and
+    # left rows (h u, f u), scaled so columns are unit and Lt R = I
+    g = np.array([1.0, 1.0, -eps2, -eps2])
+    h = np.array([eps2, eps2, 1.0, 1.0])
+    f = np.array([1.0, 1.0, -1.0, -1.0])
+    scale = np.sqrt(1.0 + g**2)
+    right = np.array([1.0 / scale, 1.0 / scale, g / scale, g / scale])
+    left = np.array([h, h, f, f]) * (scale / (1.0 + eps2))
+    R = (U * right[:, :, None]).transpose(2, 0, 1)
+    Lt = (U * left[:, :, None]).transpose(2, 1, 0)
+    return E.T, R, Lt
+
+
+def branch_frequency(branch: Branch, k_z, params: QuantumParams):
+    """Signed angular frequency Omega = E(hbar k_z) / hbar of the branch."""
+    return branch_energy(branch, params.hbar * k_z, params) / params.hbar
 
 
 def phase_velocity(branch: Branch, k_z: float, params: QuantumParams) -> float:
@@ -122,11 +170,5 @@ def figure2_table(epsilon: float, p_grid, params: QuantumParams | None = None) -
     """
     base = params if params is not None else QuantumParams()
     qp = base.replace_epsilon(epsilon)
-    rows = np.empty((len(p_grid), 5), dtype=float)
-    for i, p in enumerate(p_grid):
-        rows[i] = (p,
-                   branch_energy(ACOUSTIC_PLUS, p, qp),
-                   branch_energy(ACOUSTIC_MINUS, p, qp),
-                   branch_energy(OPTICAL_PLUS, p, qp),
-                   branch_energy(OPTICAL_MINUS, p, qp))
-    return rows
+    p = np.asarray(p_grid, dtype=float)
+    return np.column_stack([p] + [branch_energy(b, p, qp) for b in BRANCHES])

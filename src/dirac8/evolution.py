@@ -3,8 +3,8 @@ second-order (Klein-Gordon-type) system on a periodic grid.
 
 The systems are linear with constant coefficients, so evolution is done per
 Fourier mode.  The eigensystem of the 4x4 momentum-space sector matrix H(k)
-is known in closed form (``modes``): the four branch energies, the unit right
-eigenvectors R and the dual left rows Lt with Lt R = I.  H is
+is known in closed form (``dispersion.modes``): the four branch energies, the
+unit right eigenvectors R and the dual left rows Lt with Lt R = I.  H is
 pseudo-Hermitian, eta H = H^T eta with eta = diag(eps^2, eps^2, 1, 1), so each
 left row is eta times its right vector up to scale.  The default propagator
 projects the Fourier coefficients with Lt, advances each branch by its phase
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dispersion import BRANCHES, Branch
+from .dispersion import BRANCHES, Branch, modes
 from .matrices import spin_sector_hamiltonian
 from .params import ContinuumParams, QuantumParams
 
@@ -53,9 +53,6 @@ class FieldState:
     @property
     def z(self) -> np.ndarray:
         return self.dz * np.arange(self.n_grid)
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.n_grid, self.L, self.fields.copy(), self.t)
 
 
 @dataclass
@@ -105,44 +102,6 @@ def _wavenumbers(n_grid: int, L: float) -> np.ndarray:
     return 2 * math.pi * np.fft.fftfreq(n_grid, d=L / n_grid)
 
 
-def modes(ks, params: QuantumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form eigensystem (E, R, Lt) of the sector matrix at each wavenumber.
-
-    All three are real, with shapes (n, 4), (n, 4, 4) and (n, 4, 4); branch
-    index j follows ``dispersion.BRANCHES``.  E[:, j] is the branch energy,
-    the column R[:, :, j] the unit right eigenvector (b1, b3, d1, d3), and
-    the row Lt[:, j, :] its dual left eigenvector, so Lt @ R = I and
-    H = R diag(E) Lt.  Each right vector is (u, g u) up to scale, where u is
-    (b1, b3) normalised, g = 1 on the acoustic and g = -eps^2 on the optical
-    branches; the left rows are (eps^2 u, u) and (u, -u) up to scale.  The
-    negative optical u uses the rationalized amplitude form, which stays
-    finite through k = 0.
-    """
-    cp = params.c * (params.hbar * np.asarray(ks, dtype=float))
-    eps2 = params.epsilon**2
-    gap = params.gap_energy
-    E_opt = np.sqrt(cp**2 + gap**2)
-    one = np.ones_like(cp)
-    # rows are branches, the last axis runs over k
-    b1 = np.array([one, one, E_opt + gap, cp])
-    b3 = np.array([one, -one, cp, -(E_opt + gap)])
-    inv_norm = 1.0 / np.sqrt(b1**2 + b3**2)
-    u1, u3 = b1 * inv_norm, b3 * inv_norm
-    U = np.array([u1, u3, u1, u3])  # (component, branch, k)
-    # per-branch weight of u in each component: right columns (u, g u) and
-    # left rows (h u, f u), scaled so columns are unit and Lt R = I
-    g = np.array([1.0, 1.0, -eps2, -eps2])
-    h = np.array([eps2, eps2, 1.0, 1.0])
-    f = np.array([1.0, 1.0, -1.0, -1.0])
-    scale = np.sqrt(1.0 + g**2)
-    right = np.array([1.0 / scale, 1.0 / scale, g / scale, g / scale])
-    left = np.array([h, h, f, f]) * (scale / (1.0 + eps2))
-    R = (U * right[:, :, None]).transpose(2, 0, 1)
-    Lt = (U * left[:, :, None]).transpose(2, 1, 0)
-    E = np.array([cp, -cp, E_opt, -E_opt])
-    return E.T, R, Lt
-
-
 def init_packet(spec: PacketSpec, n_grid: int, L: float,
                 params: QuantumParams) -> FieldState:
     """Single-branch Gaussian packet built mode-by-mode in Fourier space."""
@@ -158,8 +117,9 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
     coeffs = weights * R[:, :, BRANCHES.index(spec.branch)].T
     fields = np.fft.ifft(coeffs, axis=1) * n_grid
     peak = np.abs(fields).max()
-    if peak > 0:
-        fields /= peak
+    if peak == 0:
+        raise ValueError("packet has no weight on the grid: k0 lies far outside its band")
+    fields /= peak
     return FieldState(n_grid=n_grid, L=L, fields=fields)
 
 
@@ -229,16 +189,17 @@ def evolve_samples(state: FieldState, dt: float, n_samples: int,
     """Yield the states at state.t + i * dt for i = 1 .. n_samples.
 
     'spectral' projects onto the branch modes once and evaluates the exact
-    propagator at each sample time; 'rk4' takes one ``evolve`` step of size
-    dt from each sample to the next.
+    propagator at each sample time; 'rk4' runs ``evolve`` from each sample to
+    the next in the fewest equal steps that keep below dz / (4 c).
     """
     if method == "spectral":
         at = _modal_propagator(state, params)
         for i in range(1, n_samples + 1):
             yield at(i * dt)
         return
+    n_sub = math.floor(4 * params.c * abs(dt) / state.dz) + 1
     for _ in range(n_samples):
-        state = evolve(state, dt, 1, params, method=method)
+        state = evolve(state, dt / n_sub, n_sub, params, method=method)
         yield state
 
 

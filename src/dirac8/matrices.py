@@ -142,14 +142,12 @@ def _exact(report: VerificationReport, name: str, reference: str,
                      measured=diff, tolerance=0.0))
 
 
-def check_algebra(params: QuantumParams | None = None) -> VerificationReport:
+def check_algebra() -> VerificationReport:
     """Verify every algebraic identity of the alpha and 8x8 coupling matrices.
 
     All entries are integers and +/- i, so every identity is checked with
-    exact equality.  The parameters are accepted for interface uniformity;
-    the identities are parameter-free.
+    exact equality; the identities are parameter-free.
     """
-    del params
     rep = VerificationReport()
     al = [alpha(j) for j in range(4)]
     for j in range(4):

@@ -11,13 +11,13 @@ eight-component wave function (Psi_1..Psi_4, Phi_1..Phi_4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import BRANCHES, Branch, branch_energy
+from .dispersion import (BRANCHES, OPTICAL_MINUS, OPTICAL_PLUS, Branch,
+                         amplitude_pair, branch_energy)
 from .matrices import spin_sector_hamiltonian
 from .params import QuantumParams
 
@@ -25,8 +25,8 @@ from .params import QuantumParams
 # Known fault names: "b3-ratio" (scales the positive-optical amplitude ratio).
 _FAULTS: set[str] = set()
 
-_UP_SLOTS = (0, 2, 4, 6)
-_DOWN_SLOTS = (1, 3, 5, 7)
+# positions of (b, b', d, d') in the eight-component vector, per spin
+_SLOTS = {"up": [0, 2, 4, 6], "down": [1, 3, 5, 7]}
 
 
 def set_fault(name: str | None) -> None:
@@ -50,36 +50,25 @@ def amplitudes(branch: Branch, p_z: float, params: QuantumParams,
                b1: complex = 1.0) -> Amplitudes:
     """Closed-form amplitudes (b1, b3, d1, d3) of one spin sector.
 
-    Acoustic branches: b3 = +/- b1 and the secondary sector repeats the
-    primary one.  Optical branches: d = -eps^2 b and b3/b1 is the ratio
-    c p_z / (E + gap), which for the negative branch is evaluated in the
-    rationalized form -(|E| + gap)/(c p_z) to avoid the cancellation at the
-    printed denominator's zero.  At p_z = 0 exactly, the negative-optical
-    eigenvector has no component on b1; the continuous limit (0, b3, 0, d3)
-    is returned with the seed applied to b3.
+    b3/b1 is the ratio of ``dispersion.amplitude_pair``, scaled to the seed
+    b1 (the negative optical branch uses its rationalized form).  The
+    secondary sector repeats the primary one on the acoustic branches and
+    is d = -eps^2 b on the optical ones.  At p_z = 0 exactly, the
+    negative-optical eigenvector has no component on b1; the continuous
+    limit (0, b3, 0, d3) is returned with the seed applied to b3.
     """
     if b1 == 0:
         raise ValueError("seed amplitude must be nonzero")
-    eps2 = params.epsilon**2
-    if branch.kind == "acoustic":
-        s = branch.energy_sign
-        return Amplitudes(b1, s * b1, b1, s * b1, "closed-form")
-
-    gap = params.gap_energy
-    cp = params.c * p_z
-    E_abs = math.sqrt(cp**2 + gap**2)
-    if branch.energy_sign > 0:
-        ratio = cp / (E_abs + gap)
-        if "b3-ratio" in _FAULTS:
-            ratio *= 1.01
-        form = "closed-form"
-    else:
-        if p_z == 0:
-            # b1 drops out of the eigenvector; seed b3 instead.
-            return Amplitudes(0.0, b1, 0.0, -eps2 * b1, "pz0-limit")
-        ratio = -(E_abs + gap) / cp
-        form = "rationalized"
-    d1 = -eps2 * b1
+    g = 1.0 if branch.kind == "acoustic" else -params.epsilon**2
+    pair_b1, pair_b3 = amplitude_pair(branch, p_z, params)
+    if pair_b1 == 0:
+        # b1 drops out of the eigenvector; seed b3 instead.
+        return Amplitudes(0.0, b1, 0.0, g * b1, "pz0-limit")
+    ratio = pair_b3 / pair_b1
+    if branch == OPTICAL_PLUS and "b3-ratio" in _FAULTS:
+        ratio *= 1.01
+    form = "rationalized" if branch == OPTICAL_MINUS else "closed-form"
+    d1 = g * b1
     return Amplitudes(b1, ratio * b1, d1, ratio * d1, form)
 
 
@@ -98,28 +87,29 @@ class PlaneWaveSolution:
         if self.spin not in ("up", "down"):
             raise ValueError(f"spin must be 'up' or 'down', got {self.spin!r}")
 
+    def phase(self, t: float, z: float, params: QuantumParams) -> complex:
+        """Plane-wave factor exp(-i (E t - p_z z)/hbar) at (t, z)."""
+        return np.exp(-1j * (self.E * t - self.p_z * z) / params.hbar)
+
     def evaluate(self, t: float, z: float, params: QuantumParams) -> np.ndarray:
-        """Field values at (t, z): amplitudes times exp(-i (E t - p_z z)/hbar)."""
-        phase = np.exp(-1j * (self.E * t - self.p_z * z) / params.hbar)
-        return self.amplitudes * phase
+        """Field values at (t, z): amplitudes times the plane-wave factor."""
+        return self.amplitudes * self.phase(t, z, params)
 
     @property
     def sector_amplitudes(self) -> np.ndarray:
         """The four amplitudes of the occupied spin sector, ordered (b, b', d, d')."""
-        slots = _UP_SLOTS if self.spin == "up" else _DOWN_SLOTS
-        return self.amplitudes[list(slots)]
+        return self.amplitudes[_SLOTS[self.spin]]
 
 
 def build_solution(branch: Branch, spin: str, p_z: float, params: QuantumParams,
                    b1: complex = 1.0) -> PlaneWaveSolution:
     """Construct the cataloged plane-wave solution for one (branch, spin)."""
     amp = amplitudes(branch, p_z, params, b1=b1)
-    vec = np.zeros(8, dtype=complex)
-    slots = _UP_SLOTS if spin == "up" else _DOWN_SLOTS
-    vec[list(slots)] = (amp.b1, amp.b3, amp.d1, amp.d3)
-    return PlaneWaveSolution(branch=branch, spin=spin, p_z=p_z,
-                             E=branch_energy(branch, p_z, params),
-                             amplitudes=vec, form=amp.form)
+    sol = PlaneWaveSolution(branch=branch, spin=spin, p_z=p_z,
+                            E=branch_energy(branch, p_z, params),
+                            amplitudes=np.zeros(8, dtype=complex), form=amp.form)
+    sol.amplitudes[_SLOTS[spin]] = (amp.b1, amp.b3, amp.d1, amp.d3)
+    return sol
 
 
 def spin_flip(solution: PlaneWaveSolution) -> PlaneWaveSolution:
@@ -139,23 +129,20 @@ def residual(solution: PlaneWaveSolution, sample_points, params: QuantumParams,
     differences of step h as an independent cross-check.
     """
     H = spin_sector_hamiltonian(solution.p_z, params)
-    slots = list(_UP_SLOTS if solution.spin == "up" else _DOWN_SLOTS)
-    worst = 0.0
+    v = solution.sector_amplitudes
     if mode == "exact":
-        v = solution.amplitudes[slots]
         base = solution.E * v - H @ v
-        for (t, z) in sample_points:
-            phase = np.exp(-1j * (solution.E * t - solution.p_z * z) / params.hbar)
-            worst = max(worst, float(np.max(np.abs(base * phase))))
-        return worst
+        return max((float(np.max(np.abs(base * solution.phase(t, z, params))))
+                    for t, z in sample_points), default=0.0)
     if mode != "fd":
         raise ValueError(f"unknown residual mode {mode!r}")
 
     hbar, c = params.hbar, params.c
     me, mf = params.mu_e, params.mu_f
+    worst = 0.0
     for (t, z) in sample_points:
         def fld(tt, zz):
-            return solution.evaluate(tt, zz, params)[slots]
+            return v * solution.phase(tt, zz, params)
 
         dt = (fld(t + h, z) - fld(t - h, z)) / (2 * h)
         dz = (fld(t, z + h) - fld(t, z - h)) / (2 * h)

@@ -33,9 +33,6 @@ class VerificationReport:
     def add(self, check: Check) -> None:
         self.checks.append(check)
 
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

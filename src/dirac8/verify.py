@@ -183,7 +183,7 @@ def _evolution_checks(rep: VerificationReport, qp: QuantumParams,
     sol = planewaves.build_solution(dispersion.OPTICAL_PLUS, "up", qp.hbar * k0, qp)
     z = L / n_grid * np.arange(n_grid)
     wave = np.exp(1j * k0 * z)
-    fields = np.outer(sol.amplitudes[[0, 2, 4, 6]], wave)
+    fields = np.outer(sol.sector_amplitudes, wave)
     state = evolution.FieldState(n_grid=n_grid, L=L, fields=fields)
     T = 7.3
     out = evolution.evolve(state, T, 1, qp)
@@ -217,7 +217,7 @@ def full_report(epsilon: float = 0.5, corrupt: str | None = None,
     qp = QuantumParams(epsilon=epsilon)
     planewaves.set_fault(corrupt)
     try:
-        rep = matrices.check_algebra(qp)
+        rep = matrices.check_algebra()
         rep.notes.append(dispersion.OPTICAL_FORM_NOTE)
         _squaring_checks(rep, rng)
         _determinant_checks(rep, qp)

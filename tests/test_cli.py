@@ -148,7 +148,7 @@ def test_evolve_optical(tmp_path):
 
 def test_evolve_underresolved_packet():
     assert main(["evolve", "--sigma", "0.01", "--n-grid", "128",
-                 "--L", "100"]) == 1
+                 "--L", "100"]) == 2
 
 
 def test_evolve_stationary(tmp_path):
@@ -185,3 +185,54 @@ def test_evolve_deterministic(tmp_path):
         assert code == 0
         outputs.append((csv.read_bytes(), summ.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--epsilon", "-1"],
+    ["dispersion", "--epsilon", "nan"],
+    ["dispersion", "--pmax", "inf"],
+    ["dispersion", "--n", "1"],
+    ["solutions", "--epsilon", "-1"],
+    ["verify", "--epsilon", "-1"],
+    ["evolve", "--epsilon", "-1"],
+    ["evolve", "--units", "custom", "--c", "0"],
+    ["evolve", "--units", "custom", "--hbar", "nan"],
+    ["evolve", "--t-total", "0"],
+    ["evolve", "--samples", "1" + "0" * 400],
+    ["evolve", "--n-grid", "0"],
+    ["evolve", "--L", "-5"],
+    ["evolve", "--n-grid", "1000"],
+    ["evolve", "--sigma", "-1"],
+    ["evolve", "--sigma", "0.01", "--n-grid", "128", "--L", "100"],
+    ["evolve", "--k0", "nan"],
+    ["evolve", "--k0", "1e308"],
+    ["evolve", "--center", "inf"],
+    ["solutions", "--pz", "nan"],
+    ["chain", "--dt", "-1"],
+    ["chain", "--amplitude", "0"],
+    ["chain", "--m", "0"],
+    ["chain", "--I", "-1"],
+    ["chain", "--periods", "1"],
+    ["chain", "--periods", "2"],
+    ["chain", "--periods", "2.5"],
+])
+def test_bad_arguments_exit_2(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+
+
+def test_evolve_rk4_at_defaults_matches_spectral(tmp_path):
+    velocities = []
+    for method in ("spectral", "rk4"):
+        summ = tmp_path / f"{method}.json"
+        code = main(["evolve", "--method", method, "-o", str(tmp_path / f"{method}.csv"),
+                     "--summary", str(summ)])
+        assert code == 0
+        velocities.append(json.loads(summ.read_text())["measured_group_velocity"])
+    spectral, rk4 = velocities
+    assert abs(rk4 - spectral) <= 1e-4 * abs(spectral)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirac8 import dispersion as dsp
+from dirac8 import planewaves as pw
 from dirac8.params import ContinuumParams, QuantumParams
 
 
@@ -129,3 +130,32 @@ def test_continuum_matches_quantum_mapping():
         E_op = dsp.branch_energy(dsp.OPTICAL_PLUS, p, qp)
         assert lo == pytest.approx(E_ac**2 / qp.hbar**2, rel=1e-12)
         assert hi == pytest.approx(E_op**2 / qp.hbar**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.5, 5.0))
+def test_branch_energy_array_equals_scalar_calls(eps):
+    qp = QuantumParams(epsilon=eps)
+    ps = np.concatenate([np.linspace(-7.3, 7.3, 301),
+                         np.random.default_rng(3).uniform(-50, 50, 500)])
+    assert 0.0 in ps
+    for b in dsp.BRANCHES:
+        scalar = np.array([dsp.branch_energy(b, p, qp) for p in ps.tolist()])
+        assert np.array_equal(dsp.branch_energy(b, ps, qp), scalar)
+
+
+def test_modes_ignore_the_amplitude_fault():
+    # the fault hook scales planewaves' positive-optical ratio only; the
+    # eigensystem that evolution runs on must not see it
+    qp = QuantumParams(epsilon=0.5)
+    ks = np.linspace(-3.0, 3.0, 41)
+    clean = dsp.modes(ks, qp)
+    clean_b3 = pw.amplitudes(dsp.OPTICAL_PLUS, 1.0, qp).b3
+    pw.set_fault("b3-ratio")
+    try:
+        faulted = dsp.modes(ks, qp)
+        faulted_b3 = pw.amplitudes(dsp.OPTICAL_PLUS, 1.0, qp).b3
+    finally:
+        pw.set_fault(None)
+    assert faulted_b3 == pytest.approx(1.01 * clean_b3, rel=1e-14)
+    for a, b in zip(clean, faulted):
+        assert np.array_equal(a, b)

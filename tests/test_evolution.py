@@ -9,7 +9,7 @@ from dirac8 import planewaves as pw
 from dirac8.chain import measure_mode_frequency
 from dirac8.dispersion import (ACOUSTIC_MINUS, ACOUSTIC_PLUS, BRANCHES,
                                OPTICAL_MINUS, OPTICAL_PLUS, branch_energy,
-                               branch_frequency, group_velocity)
+                               branch_frequency, group_velocity, modes)
 from dirac8.matrices import spin_sector_hamiltonian
 from dirac8.params import ContinuumParams, QuantumParams
 
@@ -233,7 +233,7 @@ def _modes_grid(n_grid=64, L=100.0):
 def test_modes_are_the_eigensystem_of_the_sector_matrix(eps):
     qp = QuantumParams(epsilon=eps)
     ks = _modes_grid()
-    E, R, Lt = evo.modes(ks, qp)
+    E, R, Lt = modes(ks, qp)
     assert E.shape == (len(ks), 4) and R.shape == Lt.shape == (len(ks), 4, 4)
     for i, k in enumerate(ks):
         H = spin_sector_hamiltonian(qp.hbar * k, qp)
@@ -253,7 +253,7 @@ def test_modes_match_numerical_eig(eps):
     qp = QuantumParams(epsilon=eps)
     ks = _modes_grid()
     ks = ks[ks != 0]  # eig's basis of the degenerate acoustic pair is arbitrary
-    E, R, _ = evo.modes(ks, qp)
+    E, R, _ = modes(ks, qp)
     for i, k in enumerate(ks):
         H = spin_sector_hamiltonian(qp.hbar * k, qp)
         w, V = np.linalg.eig(H)
@@ -287,7 +287,7 @@ def test_acoustic_pair_at_zero_wavenumber(eps):
     # stationary, and the metric norm does not depend on how it is split
     qp = QuantumParams(epsilon=eps)
     n, L = 16, 10.0
-    _, R, _ = evo.modes(np.zeros(1), qp)
+    _, R, _ = modes(np.zeros(1), qp)
     a_plus, a_minus = R[0, :, 0], R[0, :, 1]
     quads = []
     for theta in np.linspace(0.0, math.pi / 2, 7):
