@@ -18,11 +18,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import dispersion, evolution, planewaves, verify
-from .params import ChainParams, QuantumParams
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+from .params import ChainParams, ParameterError, QuantumParams
 
 
 def _bounded(convert, low=-math.inf, strict=False):
@@ -49,7 +45,7 @@ _nonnegative_float = _bounded(float, 0.0)
 
 
 class _UsageError(Exception):
-    """A subcommand argument failed validation; ``main`` reports it and returns 2."""
+    """A subcommand's arguments are unusable; ``main`` reports it and returns 2."""
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -67,8 +63,13 @@ def _header(args, epsilon) -> list[str]:
     if args.units == "natural":
         units = "natural (hbar = c = m_e = 1)"
     else:
-        units = f"custom (m_e={_fmt(args.m_e)}, c={_fmt(args.c)}, hbar={_fmt(args.hbar)})"
-    return [f"# units: {units}", f"# epsilon: {_fmt(epsilon)}"]
+        units = f"custom (m_e={args.m_e!r}, c={args.c!r}, hbar={args.hbar!r})"
+    return [f"# units: {units}", f"# epsilon: {epsilon!r}"]
+
+
+def _csv(head: list[str], rows) -> str:
+    """Header lines, then one line per row of ``.tolist()`` numbers, each written by ``repr``."""
+    return "\n".join(head + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 def _write(path, text: str) -> None:
@@ -91,13 +92,10 @@ def cmd_dispersion(args) -> int:
     eps_list = args.epsilon if args.epsilon else [0.5]
     base = _unit_params(args)
     grid = np.linspace(-args.pmax, args.pmax, args.n)
-    lines = []
-    for eps in eps_list:
-        lines.extend(_header(args, eps))
-        lines.append(",".join(dispersion.FIGURE2_COLUMNS))
-        for row in dispersion.figure2_table(eps, grid, base):
-            lines.append(",".join(_fmt(x) for x in row))
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, "".join(
+        _csv(_header(args, eps) + [",".join(dispersion.FIGURE2_COLUMNS)],
+             dispersion.figure2_table(eps, grid, base).tolist())
+        for eps in eps_list))
     return 0
 
 
@@ -114,12 +112,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    params = ChainParams(m=args.m, M=args.M, K=args.K, I=args.I, J=args.J, a=args.a)
     try:
-        params = ChainParams(m=args.m, M=args.M, K=args.K, I=args.I, J=args.J, a=args.a)
         state = chain_mod.init_mode(args.n, args.mode, args.amplitude, args.branch, params)
     except ValueError as exc:
-        print(f"chain: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"chain: {exc}") from None
     omega_max = chain_mod.max_frequency(params)
     dt = args.dt if args.dt is not None else 0.01 / omega_max
     if dt * omega_max >= 2.0:
@@ -135,19 +132,13 @@ def cmd_chain(args) -> int:
     record_every = max(n_steps // 400, 1)
     times, us, Us, dus, dUs, _ = chain_mod.simulate(state, dt, n_steps, params,
                                                     record_every=record_every)
-    if omega > 0:
-        measured = chain_mod.measure_mode_frequency(times, us[:, 0])
-    else:
-        measured = 0.0  # uniform translation mode does not oscillate
+    # the uniform translation mode (omega = 0) does not oscillate
+    measured = chain_mod.measure_mode_frequency(times, us[:, 0]) if omega > 0 else 0.0
 
     scales = chain_mod.characteristic_scales(params)
-    lines = _header(args, scales.epsilon)
-    lines.append("t,site,u,U,du_dt,dU_dt")
-    for i, t in enumerate(times):
-        for s in range(args.n):
-            lines.append(",".join([_fmt(t), str(s), _fmt(us[i, s]), _fmt(Us[i, s]),
-                                   _fmt(dus[i, s]), _fmt(dUs[i, s])]))
-    _write(args.output, "\n".join(lines) + "\n")
+    rows = (row for t, *sample in zip(times.tolist(), us, Us, dus, dUs)
+            for row in zip([t] * args.n, range(args.n), *(a.tolist() for a in sample)))
+    _write(args.output, _csv(_header(args, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"], rows))
 
     slope = chain_mod.convergence_exponent(params, (0.2, 0.1, 0.05, 0.025)) \
         if min(params.I, params.J) > 0 else None
@@ -194,11 +185,10 @@ def cmd_evolve(args) -> int:
                                     center=args.center)
         state0 = evolution.init_packet(spec, args.n_grid, args.L, qp)
     except ValueError as exc:
-        print(f"evolve: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"evolve: {exc}") from None
 
     dt = args.t_total / args.samples
-    snapshots = [(0.0, state0)]
+    snapshots = [state0]
     times = [0.0]
     positions = [evolution.packet_centroid(state0)]
     samples = evolution.evolve_samples(state0, dt, args.samples, qp, method=args.method)
@@ -206,15 +196,12 @@ def cmd_evolve(args) -> int:
         times.append(state.t)
         positions.append(evolution.packet_centroid(state))
         if i in (args.samples // 2, args.samples):
-            snapshots.append((state.t, state))
+            snapshots.append(state)
 
-    lines = _header(args, args.epsilon)
-    lines.append("t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq")
-    for t, snap in snapshots:
-        inten = np.abs(snap.fields) ** 2
-        for j, z in enumerate(snap.z):
-            lines.append(",".join([_fmt(t), _fmt(z)] + [_fmt(inten[c, j]) for c in range(4)]))
-    _write(args.output, "\n".join(lines) + "\n")
+    rows = (row for s in snapshots for row in zip(
+        [float(s.t)] * s.n_grid, s.z.tolist(), *(np.abs(s.fields) ** 2).tolist()))
+    head = _header(args, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
+    _write(args.output, _csv(head, rows))
 
     v_meas, _ = evolution.centroid_velocity(times, positions, args.L)
     v_ref = dispersion.group_velocity(branch, args.k0, qp) if args.k0 != 0 else 0.0
@@ -249,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_nonnegative_float, default=0.5)
     p.add_argument("--fast", action="store_true",
                    help="skip the slower packet-velocity measurements")
-    p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--corrupt", choices=("b3-ratio",), default=None, help=argparse.SUPPRESS)
     p.add_argument("--output", "-o", default=None, help="also write a JSON report")
     _add_unit_flags(p)
     p.set_defaults(func=cmd_verify)
@@ -304,10 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    return args.func(args)
+    except ParameterError as exc:  # flags that pass argparse but give no usable parameter set
+        print(f"dirac8 {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -111,7 +111,8 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
     if spec.sigma < 4 * dz:
         raise ValueError("packet width under-resolved: sigma must be >= 4 grid spacings")
     ks = _wavenumbers(n_grid, L)
-    weights = np.exp(-0.5 * (ks - spec.k0) ** 2 * spec.sigma**2)
+    with np.errstate(over="ignore"):  # far from k0 the square overflows; exp(-inf) = 0 is intended
+        weights = np.exp(-0.5 * (ks - spec.k0) ** 2 * spec.sigma**2)
     weights = weights * np.exp(-1j * ks * spec.center)
     _, R, _ = modes(ks, params)
     coeffs = weights * R[:, :, BRANCHES.index(spec.branch)].T

@@ -6,6 +6,10 @@ import math
 from dataclasses import dataclass
 
 
+class ParameterError(ValueError):
+    """A parameter set is out of range, or its derived scales do not fit in a float."""
+
+
 @dataclass(frozen=True)
 class QuantumParams:
     """Rest mass, mass ratio, and fundamental constants of the coupled wave system.
@@ -21,9 +25,14 @@ class QuantumParams:
 
     def __post_init__(self):
         if self.m_e <= 0 or self.c <= 0 or self.hbar <= 0:
-            raise ValueError("m_e, c and hbar must be positive")
+            raise ParameterError("m_e, c and hbar must be positive")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+            raise ParameterError("epsilon must be non-negative")
+        rest = self.m_e * (self.c * self.c)  # products: out of range reads inf, never raises
+        gap = rest * math.sqrt(1.0 + self.epsilon * self.epsilon)
+        omega_O = rest / self.hbar
+        if not all(map(math.isfinite, (gap * gap, omega_O, self.epsilon * omega_O))):
+            raise ParameterError("gap energy squared, omega_O and omega_A must be finite")
 
     @property
     def m_f(self) -> float:
@@ -87,9 +96,12 @@ class ChainParams:
 
     def __post_init__(self):
         if self.m <= 0 or self.M <= 0 or self.K <= 0 or self.a <= 0:
-            raise ValueError("m, M, K and a must be positive")
+            raise ParameterError("m, M, K and a must be positive")
         if self.I < 0 or self.J < 0:
-            raise ValueError("I and J must be non-negative")
+            raise ParameterError("I and J must be non-negative")
+        s = characteristic_scales(self)
+        if not (all(map(math.isfinite, vars(s).values())) and s.omega_O > 0 and s.omega_A > 0):
+            raise ParameterError("derived scales must be finite, omega_O and omega_A nonzero")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,31 @@ import numpy as np
 import pytest
 
 from dirac8 import chain
-from dirac8.params import ChainParams, characteristic_scales
+from dirac8.params import ChainParams, ParameterError, characteristic_scales
 
 PARAMS = ChainParams(m=1.0, M=4.0, K=1.0, I=1.0, J=1.0, a=1.0)
+
+
+def _reference_step(state, dt, params):
+    """One velocity-Verlet step written out in full, recomputing both forces."""
+    def accelerations(u, U):
+        lap_u = np.roll(u, 1) + np.roll(u, -1) - 2 * u
+        lap_U = np.roll(U, 1) + np.roll(U, -1) - 2 * U
+        return ((params.K * (U - u) + params.I * lap_u) / params.m,
+                (params.K * (u - U) + params.J * lap_U) / params.M)
+
+    a_u, a_U = accelerations(state.u, state.U)
+    u = state.u + dt * state.du_dt + 0.5 * dt**2 * a_u
+    U = state.U + dt * state.dU_dt + 0.5 * dt**2 * a_U
+    a_u2, a_U2 = accelerations(u, U)
+    du = state.du_dt + 0.5 * dt * (a_u + a_u2)
+    dU = state.dU_dt + 0.5 * dt * (a_U + a_U2)
+    return chain.LatticeState(state.n_sites, u, U, du, dU, state.t + dt)
+
+
+def _random_state(n_sites, seed=0, t=0.0):
+    u, U, du, dU = 1e-3 * np.random.default_rng(seed).standard_normal((4, n_sites))
+    return chain.LatticeState(n_sites, u, U, du, dU, t)
 
 
 def test_characteristic_scales():
@@ -23,6 +45,17 @@ def test_invalid_chain_params():
         ChainParams(m=0.0, M=1, K=1, I=1, J=1, a=1)
     with pytest.raises(ValueError):
         ChainParams(m=1, M=1, K=1, I=-1, J=1, a=1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(m=1e-300, M=1, K=1e300, I=1, J=1, a=1),     # omega_O overflows
+    dict(m=1, M=1e-310, K=1, I=1, J=1, a=1),         # omega_A, omega_M overflow
+    dict(m=1e300, M=1e300, K=1e-300, I=0, J=0, a=1),  # omega_O, omega_A underflow to 0
+    dict(m=1e300, M=1e-300, K=1, I=1, J=1, a=1),     # mass ratio overflows
+])
+def test_chain_params_reject_unrepresentable_scales(kwargs):
+    with pytest.raises(ParameterError):
+        ChainParams(**kwargs)
 
 
 def test_discrete_dispersion_at_zero():
@@ -70,14 +103,14 @@ def test_init_mode_invalid_index():
 def test_step_equilibrium_fixed_point():
     z = np.zeros(16)
     state = chain.LatticeState(16, z.copy(), z.copy(), z.copy(), z.copy())
-    out = chain.step(state, 0.01, PARAMS)
+    *_, out = chain.simulate(state, 0.01, 1, PARAMS)
     assert np.allclose(out.u, 0) and np.allclose(out.dU_dt, 0)
 
 
 def test_step_stability_warning():
     state = chain.init_mode(16, 1, 1e-3, "acoustic", PARAMS)
     with pytest.warns(RuntimeWarning):
-        chain.step(state, 2.5 / chain.max_frequency(PARAMS), PARAMS)
+        chain.simulate(state, 2.5 / chain.max_frequency(PARAMS), 1, PARAMS)
 
 
 def test_mode_returns_after_period():
@@ -88,9 +121,7 @@ def test_mode_returns_after_period():
     period = 2 * math.pi / omega
     n_steps = 4000
     dt = period / n_steps
-    s = state
-    for _ in range(n_steps):
-        s = chain.step(s, dt, PARAMS)
+    *_, s = chain.simulate(state, dt, n_steps, PARAMS, record_every=n_steps)
     assert np.allclose(s.u, state.u, atol=1e-8)
 
 
@@ -107,10 +138,55 @@ def test_energy_drift_symplectic():
     state = chain.init_mode(64, 3, 1e-3, "acoustic", PARAMS)
     dt = 0.01 / chain.max_frequency(PARAMS)
     e0 = chain.total_energy(state, PARAMS)
-    s = state
-    for _ in range(10_000):
-        s = chain.step(s, dt, PARAMS)
+    *_, s = chain.simulate(state, dt, 10_000, PARAMS, record_every=10_000)
     assert abs(chain.total_energy(s, PARAMS) - e0) / e0 < 1e-6
+
+
+def test_simulate_matches_reference_steps():
+    state = _random_state(24, t=0.3)
+    dt, n_steps, every = 0.05, 1200, 7
+    times, us, Us, dus, dUs, final = chain.simulate(state, dt, n_steps, PARAMS,
+                                                    record_every=every)
+    s = state
+    expected = [(s.t, s.u, s.U, s.du_dt, s.dU_dt)]
+    for i in range(1, n_steps + 1):
+        s = _reference_step(s, dt, PARAMS)
+        if i % every == 0:
+            expected.append((s.t, s.u, s.U, s.du_dt, s.dU_dt))
+    for got, want in zip((times, us, Us, dus, dUs), zip(*expected)):
+        assert np.array_equal(got, np.array(want))
+    assert final.t == s.t and final.n_sites == s.n_sites
+    for got, want in ((final.u, s.u), (final.U, s.U), (final.du_dt, s.du_dt),
+                      (final.dU_dt, s.dU_dt)):
+        assert np.array_equal(got, want)
+
+
+def test_simulate_record_every_not_dividing_n_steps():
+    state = _random_state(8, t=1.0)
+    dt = 0.1
+    times, us, Us, dus, dUs, final = chain.simulate(state, dt, 10, PARAMS, record_every=3)
+    # samples at steps 0, 3, 6, 9; step 10 ends the run unrecorded
+    assert times == pytest.approx([1.0, 1.3, 1.6, 1.9], abs=1e-12)
+    assert all(a.shape == (4, 8) for a in (us, Us, dus, dUs))
+    assert final.t == pytest.approx(2.0, abs=1e-12)
+    assert not np.array_equal(final.u, us[-1])
+
+
+def test_simulate_leaves_input_unchanged():
+    state = _random_state(16, t=0.5)
+    before = [a.copy() for a in (state.u, state.U, state.du_dt, state.dU_dt)]
+    chain.simulate(state, 0.05, 50, PARAMS, record_every=5)
+    assert state.t == 0.5
+    for got, want in zip((state.u, state.U, state.du_dt, state.dU_dt), before):
+        assert np.array_equal(got, want)
+
+
+def test_simulate_rejects_bad_arguments():
+    state = _random_state(8)
+    with pytest.raises(ValueError):
+        chain.simulate(state, 0.05, 10, PARAMS, record_every=0)
+    with pytest.raises(ValueError):
+        chain.simulate(state, 0.0, 10, PARAMS)
 
 
 def test_measure_mode_frequency_single_mode():

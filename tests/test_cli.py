@@ -215,6 +215,13 @@ def test_evolve_deterministic(tmp_path):
     ["chain", "--periods", "1"],
     ["chain", "--periods", "2"],
     ["chain", "--periods", "2.5"],
+    ["dispersion", "--epsilon", "1e300"],
+    ["verify", "--epsilon", "1e300", "--fast"],
+    ["dispersion", "--units", "custom", "--c", "1e200"],
+    ["chain", "--m", "1e-300", "--K", "1e300", "--n", "8", "--mode", "1"],
+    ["chain", "--m", "1e300", "--M", "1e300", "--K", "1e-300", "--I", "0", "--J", "0"],
+    ["evolve", "--units", "custom", "--hbar", "1e-320"],
+    ["verify", "--corrupt", "foo"],
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     try:

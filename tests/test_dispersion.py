@@ -5,7 +5,7 @@ import pytest
 
 from dirac8 import dispersion as dsp
 from dirac8 import planewaves as pw
-from dirac8.params import ContinuumParams, QuantumParams
+from dirac8.params import ContinuumParams, ParameterError, QuantumParams
 
 
 def test_parse_branch():
@@ -13,6 +13,18 @@ def test_parse_branch():
     assert dsp.parse_branch("acoustic-") is dsp.ACOUSTIC_MINUS
     with pytest.raises(ValueError):
         dsp.parse_branch("optic")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(epsilon=1e300),           # gap energy squared overflows
+    dict(c=1e200),                 # c^2 overflows
+    dict(m_e=1e-250, c=1e160),     # c^2 overflows though m_e c^2 fits
+    dict(hbar=1e-320),             # omega_O overflows
+    dict(epsilon=1e10, hbar=1e-300),  # only omega_A overflows
+])
+def test_quantum_params_reject_unrepresentable_scales(kwargs):
+    with pytest.raises(ParameterError):
+        QuantumParams(**kwargs)
 
 
 def test_continuum_dispersion_at_zero():
