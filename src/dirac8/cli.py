@@ -10,6 +10,7 @@ verification/runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -67,17 +68,27 @@ def _header(args, epsilon) -> list[str]:
     return [f"# units: {units}", f"# epsilon: {epsilon!r}"]
 
 
-def _csv(head: list[str], rows) -> str:
-    """Header lines, then one line per row of ``.tolist()`` numbers, each written by ``repr``."""
-    return "\n".join(head + [",".join(map(repr, row)) for row in rows]) + "\n"
+def _csv(head: list[str], frames):
+    """Yield the header lines, then one chunk of CSV lines per frame.
+
+    A frame is (labels, columns): label columns of ready-made cell strings,
+    then numeric array columns, each cell written by ``repr`` of its
+    ``.tolist()`` value.  Frames are formatted one at a time, so only one
+    frame's cells are alive at once.
+    """
+    yield "".join(line + "\n" for line in head)
+    for labels, columns in frames:
+        cells = [map(repr, col.tolist()) for col in columns]
+        yield "\n".join(map(",".join, zip(*labels, *cells))) + "\n"
 
 
-def _write(path, text: str) -> None:
+def _write(path, chunks) -> None:
+    """Write an iterable of text chunks, each as it comes, to path or stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _add_unit_flags(p) -> None:
@@ -91,10 +102,14 @@ def _add_unit_flags(p) -> None:
 def cmd_dispersion(args) -> int:
     eps_list = args.epsilon if args.epsilon else [0.5]
     base = _unit_params(args)
+    # the largest energy in the table, (c pmax)^2 + gap^2, must fit; gap grows with epsilon
+    cp, gap = base.c * args.pmax, base.replace_epsilon(max(eps_list)).gap_energy
+    if not math.isfinite(cp * cp + gap * gap):
+        raise _UsageError(f"dispersion: the optical energy at --pmax {args.pmax!r} overflows")
     grid = np.linspace(-args.pmax, args.pmax, args.n)
-    _write(args.output, "".join(
+    _write(args.output, itertools.chain.from_iterable(
         _csv(_header(args, eps) + [",".join(dispersion.FIGURE2_COLUMNS)],
-             dispersion.figure2_table(eps, grid, base).tolist())
+             [((), dispersion.figure2_table(eps, grid, base).T)])
         for eps in eps_list))
     return 0
 
@@ -105,9 +120,9 @@ def cmd_verify(args) -> int:
     lines = _header(args, args.epsilon) + rep.lines()
     print("\n".join(lines))
     if args.output:
-        _write(args.output, json.dumps(
+        _write(args.output, [json.dumps(
             {"epsilon": args.epsilon, "passed": rep.passed,
-             "notes": rep.notes, "checks": rep.to_rows()}, indent=2) + "\n")
+             "notes": rep.notes, "checks": rep.to_rows()}, indent=2) + "\n"])
     return 0 if rep.passed else 1
 
 
@@ -119,7 +134,8 @@ def cmd_chain(args) -> int:
         raise _UsageError(f"chain: {exc}") from None
     omega_max = chain_mod.max_frequency(params)
     dt = args.dt if args.dt is not None else 0.01 / omega_max
-    if dt * omega_max >= 2.0:
+    margin = dt * omega_max
+    if margin >= 2.0:
         print("chain: time step violates the stability bound dt * omega_max < 2",
               file=sys.stderr)
         return 1
@@ -130,26 +146,30 @@ def cmd_chain(args) -> int:
     sim_time = args.periods * 2 * math.pi / omega if omega > 0 else 100 * dt
     n_steps = max(int(sim_time / dt), 1)
     record_every = max(n_steps // 400, 1)
-    times, us, Us, dus, dUs, _ = chain_mod.simulate(state, dt, n_steps, params,
-                                                    record_every=record_every)
+    times, us, Us, dus, dUs, final = chain_mod.simulate(state, dt, n_steps, params,
+                                                        record_every=record_every)
     # the uniform translation mode (omega = 0) does not oscillate
     measured = chain_mod.measure_mode_frequency(times, us[:, 0]) if omega > 0 else 0.0
 
     scales = chain_mod.characteristic_scales(params)
-    rows = (row for t, *sample in zip(times.tolist(), us, Us, dus, dUs)
-            for row in zip([t] * args.n, range(args.n), *(a.tolist() for a in sample)))
-    _write(args.output, _csv(_header(args, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"], rows))
+    sites = list(map(str, range(args.n)))
+    frames = ((([repr(t)] * args.n, sites), sample)
+              for t, *sample in zip(times.tolist(), us, Us, dus, dUs))
+    _write(args.output, _csv(_header(args, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"], frames))
 
     slope = chain_mod.convergence_exponent(params, (0.2, 0.1, 0.05, 0.025)) \
         if min(params.I, params.J) > 0 else None
+    e0, e1 = (chain_mod.total_energy(s, params) for s in (state, final))
     summary = {
         "mode_index": args.mode, "branch": args.branch, "wavenumber": k,
         "omega_dispersion": omega, "omega_measured": measured,
         "relative_error": abs(measured - omega) / omega if omega > 0 else 0.0,
         "continuum_convergence_exponent": slope,
         "epsilon": scales.epsilon,
+        "dt": dt, "n_steps": n_steps, "stability_margin": margin,
+        "relative_energy_drift": abs(e1 - e0) / e0 if e0 > 0 else None,
     }
-    _write(args.summary, json.dumps(summary, indent=2) + "\n")
+    _write(args.summary, [json.dumps(summary, indent=2) + "\n"])
     return 0
 
 
@@ -171,9 +191,9 @@ def cmd_solutions(args) -> int:
         })
     det = abs(np.linalg.det(planewaves.stacked_amplitude_matrix(sols)))
     print("\n".join(_header(args, args.epsilon)))
-    _write(args.output, json.dumps(
+    _write(args.output, [json.dumps(
         {"p_z": args.pz, "epsilon": args.epsilon,
-         "independence_determinant": det, "solutions": entries}, indent=2) + "\n")
+         "independence_determinant": det, "solutions": entries}, indent=2) + "\n"])
     return 0
 
 
@@ -198,10 +218,10 @@ def cmd_evolve(args) -> int:
         if i in (args.samples // 2, args.samples):
             snapshots.append(state)
 
-    rows = (row for s in snapshots for row in zip(
-        [float(s.t)] * s.n_grid, s.z.tolist(), *(np.abs(s.fields) ** 2).tolist()))
+    frames = ((([repr(float(s.t))] * s.n_grid,), (s.z, *np.abs(s.fields) ** 2))
+              for s in snapshots)
     head = _header(args, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
-    _write(args.output, _csv(head, rows))
+    _write(args.output, _csv(head, frames))
 
     v_meas, _ = evolution.centroid_velocity(times, positions, args.L)
     v_ref = dispersion.group_velocity(branch, args.k0, qp) if args.k0 != 0 else 0.0
@@ -210,7 +230,7 @@ def cmd_evolve(args) -> int:
         "measured_group_velocity": v_meas, "analytic_group_velocity": v_ref,
         "relative_error": abs(v_meas - v_ref) / abs(v_ref) if v_ref else None,
     }
-    _write(args.summary, json.dumps(summary, indent=2) + "\n")
+    _write(args.summary, [json.dumps(summary, indent=2) + "\n"])
     return 0
 
 

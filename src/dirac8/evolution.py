@@ -110,6 +110,8 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
     dz = L / n_grid
     if spec.sigma < 4 * dz:
         raise ValueError("packet width under-resolved: sigma must be >= 4 grid spacings")
+    if not math.isfinite(spec.sigma * spec.sigma):
+        raise ValueError("packet width too large: sigma squared overflows")
     ks = _wavenumbers(n_grid, L)
     with np.errstate(over="ignore"):  # far from k0 the square overflows; exp(-inf) = 0 is intended
         weights = np.exp(-0.5 * (ks - spec.k0) ** 2 * spec.sigma**2)

@@ -31,8 +31,10 @@ class QuantumParams:
         rest = self.m_e * (self.c * self.c)  # products: out of range reads inf, never raises
         gap = rest * math.sqrt(1.0 + self.epsilon * self.epsilon)
         omega_O = rest / self.hbar
-        if not all(map(math.isfinite, (gap * gap, omega_O, self.epsilon * omega_O))):
-            raise ParameterError("gap energy squared, omega_O and omega_A must be finite")
+        finite = all(map(math.isfinite, (gap * gap, omega_O, self.epsilon * omega_O)))
+        if not (finite and gap * gap > 0):  # gap^2 underflowing to 0 makes the modes singular
+            raise ParameterError("gap energy squared must be finite and nonzero, "
+                                 "omega_O and omega_A finite")
 
     @property
     def m_f(self) -> float:

@@ -80,8 +80,10 @@ def test_discrete_dispersion_long_wave_limit():
 def test_init_mode_basic():
     state = chain.init_mode(64, 0, 1e-3, "acoustic", PARAMS)
     assert np.allclose(state.u, state.u[0])  # uniform translation
-    a_u, a_U = chain._accelerations(state.u, state.U, PARAMS)
-    assert np.allclose(a_u, 0) and np.allclose(a_U, 0)
+    # no force: from rest, one step leaves the velocities at dt * (mean acceleration) = 0
+    dt = 0.01
+    *_, out = chain.simulate(state, dt, 1, PARAMS)
+    assert np.allclose(out.du_dt / dt, 0) and np.allclose(out.dU_dt / dt, 0)
 
     state = chain.init_mode(64, 5, 1e-3, "optical", PARAMS)
     assert np.abs(state.u).max() <= 1e-3 + 1e-15
@@ -142,23 +144,43 @@ def test_energy_drift_symplectic():
     assert abs(chain.total_energy(s, PARAMS) - e0) / e0 < 1e-6
 
 
-def test_simulate_matches_reference_steps():
-    state = _random_state(24, t=0.3)
-    dt, n_steps, every = 0.05, 1200, 7
-    times, us, Us, dus, dUs, final = chain.simulate(state, dt, n_steps, PARAMS,
+def _assert_matches_reference(state, params, dt=0.05, n_steps=1200, every=7):
+    times, us, Us, dus, dUs, final = chain.simulate(state, dt, n_steps, params,
                                                     record_every=every)
     s = state
     expected = [(s.t, s.u, s.U, s.du_dt, s.dU_dt)]
     for i in range(1, n_steps + 1):
-        s = _reference_step(s, dt, PARAMS)
+        s = _reference_step(s, dt, params)
         if i % every == 0:
             expected.append((s.t, s.u, s.U, s.du_dt, s.dU_dt))
     for got, want in zip((times, us, Us, dus, dUs), zip(*expected)):
         assert np.array_equal(got, np.array(want))
     assert final.t == s.t and final.n_sites == s.n_sites
-    for got, want in ((final.u, s.u), (final.U, s.U), (final.du_dt, s.du_dt),
-                      (final.dU_dt, s.dU_dt)):
+    finals = (final.u, final.U, final.du_dt, final.dU_dt)
+    for got, want in zip(finals, (s.u, s.U, s.du_dt, s.dU_dt)):
         assert np.array_equal(got, want)
+    # the final state owns its arrays: no views into the kernel's buffers or the records
+    assert all(arr.flags.owndata for arr in finals)
+    for i, arr in enumerate(finals):
+        others = finals[:i] + finals[i + 1:] + (us, Us, dus, dUs)
+        assert not any(np.shares_memory(arr, other) for other in others)
+
+
+def test_simulate_matches_reference_steps():
+    _assert_matches_reference(_random_state(24, t=0.3), PARAMS)
+
+
+@pytest.mark.parametrize("params, n_sites, t0", [
+    (ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1), 24, 0.0),  # I != J: rows not swapped
+    (ChainParams(m=1, M=4, K=1, I=0, J=0, a=1), 24, 2.5),        # no neighbour springs
+    # 1 to 3 sites: the ghost columns are copies of the ring's own sites
+    (PARAMS, 1, 0.0),
+    (PARAMS, 2, 0.7),
+    (ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1), 3, -1.25),
+])
+def test_simulate_matches_reference_edge_cases(params, n_sites, t0):
+    # _random_state starts with nonzero velocities
+    _assert_matches_reference(_random_state(n_sites, seed=n_sites, t=t0), params)
 
 
 def test_simulate_record_every_not_dividing_n_steps():

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dirac8 import chain
 from dirac8.cli import main
+from dirac8.params import ChainParams
 
 
 def run(argv, capsys=None):
@@ -95,6 +97,38 @@ def test_chain_run(tmp_path):
     lines = traj.read_text().splitlines()
     assert lines[0].startswith("#")
     assert "t,site,u,U,du_dt,dU_dt" in lines[:3]
+
+
+def test_chain_summary_reports_the_run(tmp_path):
+    summ = tmp_path / "summary.json"
+    code = main(["chain", "-o", str(tmp_path / "t.csv"), "--summary", str(summ)])
+    assert code == 0
+    s = json.loads(summ.read_text())
+    assert list(s)[-4:] == ["dt", "n_steps", "stability_margin", "relative_energy_drift"]
+    omega_max = chain.max_frequency(ChainParams(m=1, M=4, K=1, I=1, J=1, a=1))
+    assert s["dt"] == 0.01 / omega_max
+    assert s["stability_margin"] == pytest.approx(0.01, rel=1e-12)
+    assert 0 < s["relative_energy_drift"] < 1e-6
+    assert s["n_steps"] == int(8 * 2 * math.pi / s["omega_dispersion"] / s["dt"])
+
+
+def test_chain_csv_matches_rowwise_reference(tmp_path):
+    csv, summ = tmp_path / "t.csv", tmp_path / "summary.json"
+    code = main(["chain", "--n", "16", "--mode", "3", "--M", "2.5", "--I", "0.7",
+                 "-o", str(csv), "--summary", str(summ)])
+    assert code == 0
+    s = json.loads(summ.read_text())
+    params = ChainParams(m=1, M=2.5, K=1, I=0.7, J=1, a=1)
+    state = chain.init_mode(16, 3, 1e-3, "optical", params)
+    times, *arrays, _ = chain.simulate(state, s["dt"], s["n_steps"], params,
+                                       record_every=max(s["n_steps"] // 400, 1))
+    lines = ["# units: natural (hbar = c = m_e = 1)", f"# epsilon: {s['epsilon']!r}",
+             "t,site,u,U,du_dt,dU_dt"]
+    for f, t in enumerate(times.tolist()):
+        for site in range(16):
+            row = [t, site] + [a[f, site].item() for a in arrays]
+            lines.append(",".join(map(repr, row)))
+    assert csv.read_text() == "\n".join(lines) + "\n"
 
 
 def test_chain_zero_mode(tmp_path):
@@ -222,6 +256,10 @@ def test_evolve_deterministic(tmp_path):
     ["chain", "--m", "1e300", "--M", "1e300", "--K", "1e-300", "--I", "0", "--J", "0"],
     ["evolve", "--units", "custom", "--hbar", "1e-320"],
     ["verify", "--corrupt", "foo"],
+    ["evolve", "--sigma", "1e160", "--L", "1e162", "--center", "0"],
+    ["evolve", "--units", "custom", "--m-e", "1e-320"],
+    ["dispersion", "--pmax", "1e300"],
+    ["dispersion", "--units", "custom", "--m-e", "1e154", "--epsilon", "0", "--pmax", "1.3e154"],
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     try:
