@@ -1,6 +1,6 @@
-"""Discrete mass-in-mass chain on a periodic ring: exact dispersion,
-velocity-Verlet time stepping (``simulate``, the one integrator), energy, and
-mode-frequency measurement.
+"""Discrete mass-in-mass chain on a periodic ring: exact dispersion (the 2x2
+problem solved by ``dispersion.modal_pair``), velocity-Verlet time stepping
+(``simulate``, the one integrator), energy, and mode-frequency measurement.
 
 ``simulate`` steps the stacked (2, n) state (u, U) in place on preallocated
 buffers; its Laplacian reads the periodic neighbours from two ghost columns
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import continuum_dispersion
+from .dispersion import continuum_dispersion, modal_pair
 from .params import ChainParams, ContinuumParams, characteristic_scales
 
 
@@ -37,7 +37,7 @@ class LatticeState:
 
 @dataclass(frozen=True)
 class ModePair:
-    """Both dispersion roots at one wavenumber, with eigenvectors (b, d)."""
+    """Both dispersion roots at a wavenumber (or array of them), with eigenvectors (b, d)."""
 
     omega_acoustic: float
     omega_optical: float
@@ -45,47 +45,19 @@ class ModePair:
     eigvec_optical: np.ndarray
 
 
-def _dispersion_matrix(k: float, params: ChainParams) -> np.ndarray:
-    s = characteristic_scales(params)
-    sin2 = math.sin(0.5 * k * params.a) ** 2
-    return np.array([
-        [s.omega_O**2 + 4 * s.omega_m**2 * sin2, -s.omega_O**2],
-        [-s.omega_A**2, s.omega_A**2 + 4 * s.omega_M**2 * sin2],
-    ])
-
-
-def discrete_dispersion(k: float, params: ChainParams) -> ModePair:
-    """Exact two-branch dispersion of the ring at wavenumber k.
+def discrete_dispersion(k, params: ChainParams) -> ModePair:
+    """Exact two-branch dispersion of the ring at wavenumber k (a float or an array).
 
     Eigenproblem omega^2 (b, d) = D(k) (b, d) with the 2x2 matrix obtained by
-    substituting plane waves into the equations of motion; roots returned
-    ascending with unit eigenvectors.
+    substituting plane waves into the equations of motion, solved by
+    ``dispersion.modal_pair``: roots ascending with unit eigenvectors.
     """
-    D = _dispersion_matrix(k, params)
-    tr = D[0, 0] + D[1, 1]
-    det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
-    half = 0.5 * tr
-    disc = math.sqrt(max(half**2 - det, 0.0))
-    lam = (max(half - disc, 0.0), half + disc)
-
-    vecs = []
-    for l in lam:
-        # (D - l) v = 0; pick the row with the larger leading coefficient
-        r0 = np.array([D[0, 0] - l, D[0, 1]])
-        r1 = np.array([D[1, 0], D[1, 1] - l])
-        row = r0 if np.abs(r0).max() >= np.abs(r1).max() else r1
-        v = np.array([-row[1], row[0]])
-        n = np.linalg.norm(v)
-        if n == 0:  # D is a multiple of the identity (degenerate k = 0, I = J = 0 edge)
-            v = np.array([1.0, 0.0])
-            n = 1.0
-        v = v / n
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        vecs.append(v)
-    return ModePair(omega_acoustic=math.sqrt(lam[0]),
-                    omega_optical=math.sqrt(lam[1]),
-                    eigvec_acoustic=vecs[0], eigvec_optical=vecs[1])
+    s = characteristic_scales(params)
+    sin2 = np.sin(0.5 * k * params.a) ** 2
+    w_O2, w_A2 = s.omega_O**2, s.omega_A**2
+    W, vecs = modal_pair(w_O2 + 4 * s.omega_m**2 * sin2, w_A2 + 4 * s.omega_M**2 * sin2,
+                         w_O2, w_A2)
+    return ModePair(*np.sqrt(W), *vecs)
 
 
 def max_frequency(params: ChainParams) -> float:
@@ -246,12 +218,8 @@ def convergence_exponent(params: ChainParams, ka_values) -> float:
     The error metric is |omega_disc^2 - omega_cont^2| / omega_cont^2 at
     k = ka / a; second-order convergence to the continuum gives slope ~2.
     """
-    cp = ContinuumParams.from_chain(params)
-    errs = []
-    for ka in ka_values:
-        k = ka / params.a
-        w2_disc = discrete_dispersion(k, params).omega_acoustic ** 2
-        w2_cont = continuum_dispersion(k, cp)[0]
-        errs.append(abs(w2_disc - w2_cont) / abs(w2_cont))
-    slope = np.polyfit(np.log(np.asarray(ka_values)), np.log(np.asarray(errs)), 1)[0]
-    return float(slope)
+    k = np.asarray(ka_values, dtype=float) / params.a
+    w2_disc = discrete_dispersion(k, params).omega_acoustic ** 2
+    w2_cont = continuum_dispersion(k, ContinuumParams.from_chain(params))[0]
+    errs = np.abs(w2_disc - w2_cont) / np.abs(w2_cont)
+    return float(np.polyfit(np.log(np.asarray(ka_values)), np.log(errs), 1)[0])

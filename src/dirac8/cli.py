@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import platform
 import sys
 
 import numpy as np
@@ -121,8 +122,11 @@ def cmd_verify(args) -> int:
     print("\n".join(lines))
     if args.output:
         _write(args.output, [json.dumps(
-            {"epsilon": args.epsilon, "passed": rep.passed,
-             "notes": rep.notes, "checks": rep.to_rows()}, indent=2) + "\n"])
+            {"epsilon": args.epsilon, "fast": args.fast, "seed": verify.SEED,
+             "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                          "platform": platform.platform()},
+             "passed": rep.passed, "notes": rep.notes, "checks": rep.to_rows()},
+            indent=2) + "\n"])
     return 0 if rep.passed else 1
 
 

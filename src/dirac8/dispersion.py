@@ -1,6 +1,6 @@
-"""Analytic dispersion relations: the coupled continuum system, the four
-relativistic branches and their closed-form eigensystem (``modes``),
-phase/group velocities, and table generation.
+"""Analytic dispersion relations: the 2x2 modal solver (``modal_pair``) of the
+chain, continuum and second-order systems, the four relativistic branches and
+their closed-form eigensystem (``modes``), velocities, and table generation.
 
 Note on the optical branch: the frequency is E(hbar k_z) / hbar, i.e.
 Omega^2 = c^2 k_z^2 + omega_O^2 + omega_A^2 (a single momentum term),
@@ -10,7 +10,6 @@ E^2 = c^2 p_z^2 + (1 + eps^2) m_e^2 c^4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,20 +55,36 @@ def parse_branch(label: str) -> Branch:
     raise ValueError(f"unknown branch label {label!r}")
 
 
-def continuum_dispersion(k: float, params: ContinuumParams) -> tuple[float, float]:
+def modal_pair(a, b, omega_O2, omega_A2):
+    """Roots W = Omega^2 and unit eigenvectors of D = [[a, -omega_O2], [-omega_A2, b]].
+
+    D is the matrix of x'' = -D x in the chain, continuum and second-order
+    systems; its entries are non-negative floats or broadcastable arrays.
+    Returns W (2, ...) ascending, W- clipped at 0, and vecs (2, ..., 2), each
+    orthogonal to the row of D - W with the larger largest entry, its larger
+    component (the first on a tie) positive; nan where D is a multiple of I.
+    """
+    half = 0.5 * (a + b)  # on floats half**2 is libm pow, as in the scalar reference test
+    disc = np.sqrt(np.maximum(half**2 - (a * b - omega_O2 * omega_A2), 0.0))
+    W = np.stack([np.maximum(half - disc, 0.0), half + disc])
+    a_W, b_W = a - W, b - W
+    first = np.maximum(np.abs(a_W), omega_O2) >= np.maximum(omega_A2, np.abs(b_W))
+    v = np.stack([np.where(first, omega_O2, -b_W), np.where(first, a_W, -omega_A2)], axis=-1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where D is a multiple of the identity
+        v = v / np.sqrt(np.vecdot(v, v))[..., None]
+    lead = np.where(np.abs(v[..., 0]) >= np.abs(v[..., 1]), v[..., 0], v[..., 1])
+    return W, np.where(lead[..., None] < 0, -v, v)
+
+
+def continuum_dispersion(k, params: ContinuumParams) -> np.ndarray:
     """Both squared-frequency roots of the coupled continuum system, ascending.
 
     Roots of det [[W - s_m^2 k^2 - w_O^2, w_O^2], [w_A^2, W - s_M^2 k^2 - w_A^2]] = 0
-    in W = Omega^2.  For s_m = s_M = c these are exactly c^2 k^2 and
-    c^2 k^2 + w_O^2 + w_A^2.
+    in W = Omega^2, shape (2, ...) for a float or array k.  For s_m = s_M = c
+    these are exactly c^2 k^2 and c^2 k^2 + w_O^2 + w_A^2.
     """
-    a = params.s_m**2 * k**2 + params.omega_O**2
-    b = params.s_M**2 * k**2 + params.omega_A**2
-    # W^2 - (a+b) W + (a b - w_O^2 w_A^2) = 0
-    half = 0.5 * (a + b)
-    disc = half**2 - (a * b - params.omega_O**2 * params.omega_A**2)
-    root = math.sqrt(max(disc, 0.0))
-    return half - root, half + root
+    w_O2, w_A2 = params.omega_O**2, params.omega_A**2
+    return modal_pair(params.s_m**2 * k**2 + w_O2, params.s_M**2 * k**2 + w_A2, w_O2, w_A2)[0]
 
 
 def dirac_determinant(E: float, p_z: float, params: QuantumParams) -> float:

@@ -12,7 +12,8 @@ exp(-i E t / hbar) and reconstructs with R.  No numerical eigen-solve is
 involved, and at k = 0, where the acoustic energies coincide, the two
 acoustic vectors stay independent by construction.  An RK4 method-of-lines
 stepper on the assembled sector matrices is provided as an independent
-cross-check.
+cross-check.  The second-order system x'' = -D x evolves per mode by its
+closed-form propagator in cos and sinc of the roots of D.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .dispersion import BRANCHES, Branch, modes
+from .dispersion import BRANCHES, Branch, modal_pair, modes
 from .matrices import spin_sector_hamiltonian
 from .params import ContinuumParams, QuantumParams
 
@@ -71,14 +71,6 @@ class KgfFieldState:
         for name in ("psi", "phi", "dpsi_dt", "dphi_dt"):
             if getattr(self, name).shape != (self.n_grid,):
                 raise ValueError(f"{name} must have shape (n_grid,)")
-
-    @property
-    def dz(self) -> float:
-        return self.L / self.n_grid
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.dz * np.arange(self.n_grid)
 
 
 @dataclass(frozen=True)
@@ -290,29 +282,45 @@ def init_kgf_from_fields(psi, phi, dpsi_dt, dphi_dt, L: float) -> KgfFieldState:
                          dphi_dt=np.asarray(dphi_dt, dtype=complex))
 
 
+def _kgf_propagator(ks: np.ndarray, T: float, params: ContinuumParams) -> np.ndarray:
+    """P(T) = [[C, S], [-D S, C]] on (psi, phi, psi', phi') per wavenumber, (n, 4, 4).
+
+    C = cos(sqrt(D) T) and S = sin(sqrt(D) T) / sqrt(D) are each c0 I + c1 D:
+    c1 is the divided difference of the function over the roots W-, W+ of D, in
+    cos and sinc of s, d = T (sqrt(W+) +/- sqrt(W-)) / 2, and c0 = f(W-) - c1 W-.
+    S takes the plain difference where W+ - W- >= W- and a product form for
+    closer roots, so that neither cancels badly.
+    """
+    def sinc(x):  # sin(x) / x, continued by 1 at x = 0
+        return np.sin(x) / np.where(x == 0, 1.0, x) + (x == 0)
+
+    w_O2, w_A2 = params.omega_O**2, params.omega_A**2
+    a, b = params.s_m**2 * ks**2 + w_O2, params.s_M**2 * ks**2 + w_A2
+    (lo, hi), _ = modal_pair(a, b, w_O2, w_A2)
+    r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
+    s, d = 0.5 * T * (r_hi + r_lo), 0.5 * T * (r_hi - r_lo)
+    c1_cos = -0.5 * T**2 * sinc(s) * sinc(d)
+    c0_cos = np.cos(r_lo * T) - c1_cos * lo
+    far = hi - lo >= lo
+    num = np.where(far, T * (sinc(r_hi * T) - sinc(r_lo * T)),
+                   0.5 * T * (np.cos(s) * sinc(d) - sinc(s) * np.cos(d)))
+    den = np.where(far, hi - lo, r_hi * r_lo)  # 0 only where W+ = 0: the limit -T^3 / 6
+    c1_sin = np.divide(num, den, out=np.full_like(den, -T**3 / 6), where=den != 0)
+    c0_sin = T * sinc(r_lo * T) - c1_sin * lo
+    D = np.array([[a, np.full_like(a, -w_O2)], [np.full_like(a, -w_A2), b]]).transpose(2, 0, 1)
+    C = c0_cos[:, None, None] * np.eye(2) + c1_cos[:, None, None] * D
+    S = c0_sin[:, None, None] * np.eye(2) + c1_sin[:, None, None] * D
+    return np.block([[C, S], [-(D @ S), C]])
+
+
 def evolve_kgf(state: KgfFieldState, T: float, params: ContinuumParams) -> KgfFieldState:
     """Exact per-mode evolution of the coupled second-order system.
 
-    Each Fourier mode follows the first-order reduction
-    d/dt (psi, phi, psi', phi') = M(k) (...) with
-    M = [[0, 0, 1, 0], [0, 0, 0, 1],
-         [-(s_m^2 k^2 + w_O^2), w_O^2, 0, 0],
-         [w_A^2, -(s_M^2 k^2 + w_A^2), 0, 0]].
+    Each Fourier mode of x = (psi, phi) obeys x'' = -D x, D = [[s_m^2 k^2 + w_O^2,
+    -w_O^2], [-w_A^2, s_M^2 k^2 + w_A^2]]: FFT, closed-form P(T) (``_kgf_propagator``), IFFT.
     """
-    ks = _wavenumbers(state.n_grid, state.L)
-    coeffs = np.stack([np.fft.fft(state.psi), np.fft.fft(state.phi),
-                       np.fft.fft(state.dpsi_dt), np.fft.fft(state.dphi_dt)]).T
-    Ms = np.zeros((state.n_grid, 4, 4))
-    Ms[:, 0, 2] = 1.0
-    Ms[:, 1, 3] = 1.0
-    Ms[:, 2, 0] = -(params.s_m**2 * ks**2 + params.omega_O**2)
-    Ms[:, 2, 1] = params.omega_O**2
-    Ms[:, 3, 0] = params.omega_A**2
-    Ms[:, 3, 1] = -(params.s_M**2 * ks**2 + params.omega_A**2)
-    Ps = scipy.linalg.expm(Ms * T)
-    coeffs = np.einsum("kij,kj->ki", Ps, coeffs.astype(complex))
-    return KgfFieldState(
-        n_grid=state.n_grid, L=state.L,
-        psi=np.fft.ifft(coeffs[:, 0]), phi=np.fft.ifft(coeffs[:, 1]),
-        dpsi_dt=np.fft.ifft(coeffs[:, 2]), dphi_dt=np.fft.ifft(coeffs[:, 3]),
-        t=state.t + T)
+    P = _kgf_propagator(_wavenumbers(state.n_grid, state.L), T, params)
+    coeffs = np.fft.fft([state.psi, state.phi, state.dpsi_dt, state.dphi_dt])
+    psi, phi, dpsi_dt, dphi_dt = np.fft.ifft(np.einsum("kij,jk->ik", P, coeffs))
+    return KgfFieldState(n_grid=state.n_grid, L=state.L, psi=psi, phi=phi,
+                         dpsi_dt=dpsi_dt, dphi_dt=dphi_dt, t=state.t + T)

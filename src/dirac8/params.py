@@ -102,8 +102,9 @@ class ChainParams:
         if self.I < 0 or self.J < 0:
             raise ParameterError("I and J must be non-negative")
         s = characteristic_scales(self)
-        if not (all(map(math.isfinite, vars(s).values())) and s.omega_O > 0 and s.omega_A > 0):
-            raise ParameterError("derived scales must be finite, omega_O and omega_A nonzero")
+        finite = all(math.isfinite(x * x) for x in vars(s).values())  # the dispersion squares them
+        if not (finite and s.omega_O > 0 and s.omega_A > 0):
+            raise ParameterError("derived scales need finite squares, omega_O and omega_A nonzero")
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,9 @@ class ContinuumParams:
     omega_A: float
 
     def __post_init__(self):
-        if min(self.s_m, self.s_M, self.omega_O, self.omega_A) < 0:
-            raise ValueError("continuum coefficients must be non-negative")
+        coefficients = (self.s_m, self.s_M, self.omega_O, self.omega_A)
+        if not all(x >= 0 and math.isfinite(x * x) for x in coefficients):  # nan >= 0 is False
+            raise ParameterError("continuum coefficients must be non-negative with finite squares")
 
     @classmethod
     def from_chain(cls, params: ChainParams) -> "ContinuumParams":

@@ -26,6 +26,38 @@ def _reference_step(state, dt, params):
     return chain.LatticeState(state.n_sites, u, U, du, dU, state.t + dt)
 
 
+def _reference_discrete_dispersion(k, params):
+    """The per-root scalar dispersion solve, written out with its own 2x2 matrix."""
+    s = characteristic_scales(params)
+    sin2 = math.sin(0.5 * k * params.a) ** 2
+    D = np.array([
+        [s.omega_O**2 + 4 * s.omega_m**2 * sin2, -s.omega_O**2],
+        [-s.omega_A**2, s.omega_A**2 + 4 * s.omega_M**2 * sin2],
+    ])
+    tr = D[0, 0] + D[1, 1]
+    det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
+    half = 0.5 * tr
+    disc = math.sqrt(max(half**2 - det, 0.0))
+    lam = (max(half - disc, 0.0), half + disc)
+
+    vecs = []
+    for l in lam:
+        # (D - l) v = 0; pick the row with the larger leading coefficient
+        r0 = np.array([D[0, 0] - l, D[0, 1]])
+        r1 = np.array([D[1, 0], D[1, 1] - l])
+        row = r0 if np.abs(r0).max() >= np.abs(r1).max() else r1
+        v = np.array([-row[1], row[0]])
+        n = np.linalg.norm(v)
+        if n == 0:  # D is a multiple of the identity
+            v = np.array([1.0, 0.0])
+            n = 1.0
+        v = v / n
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
+        vecs.append(v)
+    return math.sqrt(lam[0]), math.sqrt(lam[1]), vecs[0], vecs[1]
+
+
 def _random_state(n_sites, seed=0, t=0.0):
     u, U, du, dU = 1e-3 * np.random.default_rng(seed).standard_normal((4, n_sites))
     return chain.LatticeState(n_sites, u, U, du, dU, t)
@@ -52,6 +84,7 @@ def test_invalid_chain_params():
     dict(m=1, M=1e-310, K=1, I=1, J=1, a=1),         # omega_A, omega_M overflow
     dict(m=1e300, M=1e300, K=1e-300, I=0, J=0, a=1),  # omega_O, omega_A underflow to 0
     dict(m=1e300, M=1e-300, K=1, I=1, J=1, a=1),     # mass ratio overflows
+    dict(m=1, M=1, K=1, I=1, J=1, a=1e200),          # continuum speed squared overflows
 ])
 def test_chain_params_reject_unrepresentable_scales(kwargs):
     with pytest.raises(ParameterError):
@@ -63,6 +96,26 @@ def test_discrete_dispersion_at_zero():
     assert mp.omega_acoustic == 0.0
     assert mp.omega_optical == pytest.approx(math.sqrt(1.25))
     assert np.allclose(mp.eigvec_acoustic, [1, 1] / np.sqrt(2))
+
+
+def test_discrete_dispersion_matches_reference():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(3000):
+        m, M, K, I, J, a = rng.uniform(0.1, 10.0, 6)
+        I, J = (0.0 if rng.random() < 0.1 else I), (0.0 if rng.random() < 0.1 else J)
+        cases.append((rng.uniform(-math.pi / a, math.pi / a),
+                      ChainParams(m=m, M=M, K=K, I=I, J=J, a=a)))
+    # m = M gives the optical vector (1, -1) / sqrt(2) at k = 0, a tie in the sign rule
+    for params in (PARAMS, ChainParams(m=1, M=400, K=1, I=0, J=0, a=1),
+                   ChainParams(m=1, M=1, K=1, I=1, J=1, a=1)):
+        cases += [(0.0, params), (math.pi / params.a, params), (-math.pi / params.a, params)]
+    for k, params in cases:
+        mp = chain.discrete_dispersion(k, params)
+        w_ac, w_op, v_ac, v_op = _reference_discrete_dispersion(k, params)
+        assert mp.omega_acoustic == w_ac and mp.omega_optical == w_op
+        assert np.array_equal(mp.eigvec_acoustic, v_ac)
+        assert np.array_equal(mp.eigvec_optical, v_op)
 
 
 def test_discrete_dispersion_long_wave_limit():

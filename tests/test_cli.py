@@ -69,6 +69,8 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert rep["passed"] is True
     assert all(c["status"] == "pass" for c in rep["checks"])
     assert any("single momentum term" in n for n in rep["notes"])
+    assert (rep["fast"], rep["seed"]) == (True, 20240817)
+    assert set(rep["versions"]) == {"python", "numpy", "platform"}
 
 
 def test_verify_fault_injection(capsys):
@@ -196,14 +198,24 @@ def test_evolve_stationary(tmp_path):
     assert abs(s["measured_group_velocity"]) < 0.01
 
 
-@pytest.mark.parametrize("samples", ["0", "-3", "two"])
-def test_evolve_rejects_nonpositive_samples(samples):
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's dirac8."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "dirac8.cli", "evolve",
-                           "--samples", samples],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = _python("-c", "import dirac8.cli, sys; assert not any("
+                   "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "two"])
+def test_evolve_rejects_nonpositive_samples(samples):
+    proc = _python("-m", "dirac8.cli", "evolve", "--samples", samples)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "--samples" in proc.stderr.splitlines()[-1]
@@ -254,6 +266,7 @@ def test_evolve_deterministic(tmp_path):
     ["dispersion", "--units", "custom", "--c", "1e200"],
     ["chain", "--m", "1e-300", "--K", "1e300", "--n", "8", "--mode", "1"],
     ["chain", "--m", "1e300", "--M", "1e300", "--K", "1e-300", "--I", "0", "--J", "0"],
+    ["chain", "--a", "1e200"],  # the continuum speeds squared overflow
     ["evolve", "--units", "custom", "--hbar", "1e-320"],
     ["verify", "--corrupt", "foo"],
     ["evolve", "--sigma", "1e160", "--L", "1e162", "--center", "0"],

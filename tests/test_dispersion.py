@@ -27,6 +27,18 @@ def test_quantum_params_reject_unrepresentable_scales(kwargs):
         QuantumParams(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(s_m=math.nan),        # nan fails every comparison, so min(...) < 0 let it through
+    dict(s_M=math.inf),
+    dict(omega_O=math.nan),
+    dict(omega_A=-0.5),
+    dict(s_m=1e200),           # the square overflows
+])
+def test_continuum_params_reject_nonfinite_or_negative(kwargs):
+    with pytest.raises(ParameterError):
+        ContinuumParams(**{**dict(s_m=1.0, s_M=1.0, omega_O=1.0, omega_A=0.5), **kwargs})
+
+
 def test_continuum_dispersion_at_zero():
     cp = ContinuumParams(s_m=1.0, s_M=1.0, omega_O=1.0, omega_A=0.5)
     lo, hi = dsp.continuum_dispersion(0.0, cp)
@@ -43,7 +55,8 @@ def test_continuum_dispersion_equal_speeds():
 
 def test_continuum_dispersion_unequal_speeds_against_root_oracle():
     cp = ContinuumParams(s_m=0.7, s_M=1.3, omega_O=1.1, omega_A=0.4)
-    for k in (0.3, 1.0, 2.5):
+    ks = (0.3, 1.0, 2.5)
+    for k in ks:
         a = cp.s_m**2 * k**2 + cp.omega_O**2
         b = cp.s_M**2 * k**2 + cp.omega_A**2
         # quadratic-formula oracle on the 2x2 determinant
@@ -52,6 +65,11 @@ def test_continuum_dispersion_unequal_speeds_against_root_oracle():
         assert lo == pytest.approx(roots[0], rel=1e-12)
         assert hi == pytest.approx(roots[1], rel=1e-12)
         assert lo != hi
+    # an array of wavenumbers gives the same roots, shape (2, n)
+    W = dsp.continuum_dispersion(np.array(ks), cp)
+    assert W.shape == (2, len(ks))
+    np.testing.assert_allclose(W, np.array([dsp.continuum_dispersion(k, cp) for k in ks]).T,
+                               rtol=1e-15)
 
 
 def test_determinant_roots():

@@ -223,6 +223,57 @@ def test_kgf_plane_wave_frequencies_both_branches():
     assert min(abs(measured - lo), abs(measured - hi)) < 2 * math.pi / (n_samp * tau)
 
 
+KGF_SETS = (
+    dict(s_m=1.0, s_M=1.0, omega_O=1.0, omega_A=0.5),
+    dict(s_m=0.7, s_M=1.3, omega_O=1.1, omega_A=0.4),
+    dict(s_m=0.7, s_M=1.3, omega_O=0.0, omega_A=0.0),
+    dict(s_m=0.7, s_M=1.3, omega_O=1.1, omega_A=0.0),
+    dict(s_m=0.0, s_M=0.0, omega_O=0.0, omega_A=0.0),
+)
+
+
+def _kgf_expm(ks, T, cp):
+    """exp(M T) of the first-order reduction d/dt (psi, phi, psi', phi') = M (...)."""
+    M = np.zeros((len(ks), 4, 4))
+    M[:, 0, 2] = M[:, 1, 3] = 1.0
+    M[:, 2, 0] = -(cp.s_m**2 * ks**2 + cp.omega_O**2)
+    M[:, 2, 1] = cp.omega_O**2
+    M[:, 3, 0] = cp.omega_A**2
+    M[:, 3, 1] = -(cp.s_M**2 * ks**2 + cp.omega_A**2)
+    return scipy.linalg.expm(M * T)
+
+
+def _assert_propagator_matches_expm(ks, T, cp):
+    P, ref = evo._kgf_propagator(ks, T, cp), _kgf_expm(ks, T, cp)
+    err = np.max(np.abs(P - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert err.max() <= 1e-11
+
+
+@pytest.mark.parametrize("T", (0.3, 7.1))
+@pytest.mark.parametrize("kwargs", KGF_SETS)
+def test_kgf_evolution_matches_expm(kwargs, T):
+    cp = ContinuumParams(**kwargs)
+    n, L = 256, 100.0
+    ks = evo._wavenumbers(n, L)
+    _assert_propagator_matches_expm(ks, T, cp)
+    fields = np.random.default_rng(3).normal(size=(4, n, 2)) @ (1.0, 1j)
+    out = evo.evolve_kgf(evo.init_kgf_from_fields(*fields, L), T, cp)
+    ref = np.fft.ifft(np.einsum("kij,jk->ik", _kgf_expm(ks, T, cp), np.fft.fft(fields)))
+    got = np.array([out.psi, out.phi, out.dpsi_dt, out.dphi_dt])
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert out.t == T
+
+
+@pytest.mark.parametrize("T", (0.3, 7.1))
+def test_kgf_propagator_at_coincident_roots(T):
+    # at omega_A = 0 the two roots meet where s_m^2 k^2 + omega_O^2 = s_M^2 k^2,
+    # and D is a Jordan block there
+    cp = ContinuumParams(s_m=0.7, s_M=1.3, omega_O=1.1, omega_A=0.0)
+    k = math.sqrt(cp.omega_O**2 / (cp.s_M**2 - cp.s_m**2))
+    _assert_propagator_matches_expm(np.array([np.nextafter(k, 0), k, np.nextafter(k, 2)]),
+                                    T, cp)
+
+
 def _modes_grid(n_grid=64, L=100.0):
     # the FFT wavenumbers, which include 0 and -k_max, plus +k_max
     kmax = math.pi * n_grid / L
@@ -328,6 +379,9 @@ def test_production_path_needs_no_eigensolver(monkeypatch):
     evo.conserved_quadratic(evo.evolve(state, 3.0, 1, QP), QP)
     evo.measure_group_velocity(spec, QP, n_grid=512, L=100.0, t_total=20.0,
                                n_samples=12)
+    z = np.zeros(64, dtype=complex)
+    evo.evolve_kgf(evo.init_kgf_from_fields(z + 1, z, z, z, 10.0), 2.0,
+                   ContinuumParams.from_quantum(QP))
 
 
 def test_evolve_samples_match_single_shot_evolution():
