@@ -55,17 +55,18 @@ class _SubcommandParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _unit_params(args) -> QuantumParams:
-    if args.units == "natural":
-        return QuantumParams()
-    return QuantumParams(m_e=args.m_e, c=args.c, hbar=args.hbar)
+_NATURAL = "natural (hbar = c = m_e = 1)"
 
 
-def _header(args, epsilon) -> list[str]:
+def _unit_params(args, epsilon) -> tuple[QuantumParams, str]:
+    """The parameters the unit flags select at this epsilon, and their line for ``_header``."""
     if args.units == "natural":
-        units = "natural (hbar = c = m_e = 1)"
-    else:
-        units = f"custom (m_e={args.m_e!r}, c={args.c!r}, hbar={args.hbar!r})"
+        return QuantumParams(epsilon=epsilon), _NATURAL
+    return (QuantumParams(m_e=args.m_e, epsilon=epsilon, c=args.c, hbar=args.hbar),
+            f"custom (m_e={args.m_e!r}, c={args.c!r}, hbar={args.hbar!r})")
+
+
+def _header(units: str, epsilon) -> list[str]:
     return [f"# units: {units}", f"# epsilon: {epsilon!r}"]
 
 
@@ -102,14 +103,14 @@ def _add_unit_flags(p) -> None:
 
 def cmd_dispersion(args) -> int:
     eps_list = args.epsilon if args.epsilon else [0.5]
-    base = _unit_params(args)
+    base, units = _unit_params(args, max(eps_list))
     # the largest energy in the table, (c pmax)^2 + gap^2, must fit; gap grows with epsilon
-    cp, gap = base.c * args.pmax, base.replace_epsilon(max(eps_list)).gap_energy
+    cp, gap = base.c * args.pmax, base.gap_energy
     if not math.isfinite(cp * cp + gap * gap):
         raise _UsageError(f"dispersion: the optical energy at --pmax {args.pmax!r} overflows")
     grid = np.linspace(-args.pmax, args.pmax, args.n)
     _write(args.output, itertools.chain.from_iterable(
-        _csv(_header(args, eps) + [",".join(dispersion.FIGURE2_COLUMNS)],
+        _csv(_header(units, eps) + [",".join(dispersion.FIGURE2_COLUMNS)],
              [((), dispersion.figure2_table(eps, grid, base).T)])
         for eps in eps_list))
     return 0
@@ -118,7 +119,7 @@ def cmd_dispersion(args) -> int:
 def cmd_verify(args) -> int:
     rep = verify.full_report(epsilon=args.epsilon, corrupt=args.corrupt,
                              fast=args.fast)
-    lines = _header(args, args.epsilon) + rep.lines()
+    lines = _header(_NATURAL, args.epsilon) + rep.lines()
     print("\n".join(lines))
     if args.output:
         _write(args.output, [json.dumps(
@@ -148,18 +149,25 @@ def cmd_chain(args) -> int:
     mp = chain_mod.discrete_dispersion(k, params)
     omega = mp.omega_acoustic if args.branch == "acoustic" else mp.omega_optical
     sim_time = args.periods * 2 * math.pi / omega if omega > 0 else 100 * dt
-    n_steps = max(int(sim_time / dt), 1)
+    steps = float(sim_time) / float(dt)  # as Python floats an overflow reads inf, unwarned
+    if not math.isfinite(steps):
+        raise _UsageError("chain: the run takes more steps than a float can count; raise --dt")
+    n_steps = max(int(steps), 1)
     record_every = max(n_steps // 400, 1)
     times, us, Us, dus, dUs, final = chain_mod.simulate(state, dt, n_steps, params,
                                                         record_every=record_every)
-    # the uniform translation mode (omega = 0) does not oscillate
-    measured = chain_mod.measure_mode_frequency(times, us[:, 0]) if omega > 0 else 0.0
+    try:  # the uniform translation mode (omega = 0) does not oscillate
+        measured = chain_mod.measure_mode_frequency(times, us[:, 0]) if omega > 0 else 0.0
+    except ValueError as exc:  # e.g. an amplitude so small that the displacements underflow
+        print(f"chain: {exc}", file=sys.stderr)
+        return 1
 
     scales = chain_mod.characteristic_scales(params)
     sites = list(map(str, range(args.n)))
     frames = ((([repr(t)] * args.n, sites), sample)
               for t, *sample in zip(times.tolist(), us, Us, dus, dUs))
-    _write(args.output, _csv(_header(args, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"], frames))
+    head = _header(_NATURAL, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"]
+    _write(args.output, _csv(head, frames))
 
     slope = chain_mod.convergence_exponent(params, (0.2, 0.1, 0.05, 0.025)) \
         if min(params.I, params.J) > 0 else None
@@ -178,7 +186,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_solutions(args) -> int:
-    qp = _unit_params(args).replace_epsilon(args.epsilon)
+    qp, units = _unit_params(args, args.epsilon)
     sols = planewaves.catalog_eight(args.pz, qp)
     rng = np.random.default_rng(0)
     pts = [(t, z) for t, z in rng.uniform(-10, 10, size=(20, 2))]
@@ -194,7 +202,7 @@ def cmd_solutions(args) -> int:
             "form": s.form,
         })
     det = abs(np.linalg.det(planewaves.stacked_amplitude_matrix(sols)))
-    print("\n".join(_header(args, args.epsilon)))
+    print("\n".join(_header(units, args.epsilon)))
     _write(args.output, [json.dumps(
         {"p_z": args.pz, "epsilon": args.epsilon,
          "independence_determinant": det, "solutions": entries}, indent=2) + "\n"])
@@ -202,7 +210,7 @@ def cmd_solutions(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    qp = _unit_params(args).replace_epsilon(args.epsilon)
+    qp, units = _unit_params(args, args.epsilon)
     try:
         branch = dispersion.parse_branch(args.branch)
         spec = evolution.PacketSpec(k0=args.k0, sigma=args.sigma, branch=branch,
@@ -211,11 +219,13 @@ def cmd_evolve(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"evolve: {exc}") from None
 
+    if args.t_total * args.t_total == 0:  # the centroid fit scales the times by their norm
+        raise _UsageError(f"evolve: --t-total {args.t_total!r} is too short to square")
     dt = args.t_total / args.samples
     snapshots = [state0]
     times = [0.0]
     positions = [evolution.packet_centroid(state0)]
-    samples = evolution.evolve_samples(state0, dt, args.samples, qp, method=args.method)
+    samples = evolution.evolve_samples(state0, dt, args.samples, qp)
     for i, state in enumerate(samples, start=1):
         times.append(state.t)
         positions.append(evolution.packet_centroid(state))
@@ -224,7 +234,7 @@ def cmd_evolve(args) -> int:
 
     frames = ((([repr(float(s.t))] * s.n_grid,), (s.z, *np.abs(s.fields) ** 2))
               for s in snapshots)
-    head = _header(args, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
+    head = _header(units, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
     _write(args.output, _csv(head, frames))
 
     v_meas, _ = evolution.centroid_velocity(times, positions, args.L)
@@ -262,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the slower packet-velocity measurements")
     p.add_argument("--corrupt", choices=("b3-ratio",), default=None, help=argparse.SUPPRESS)
     p.add_argument("--output", "-o", default=None, help="also write a JSON report")
-    _add_unit_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chain", help="simulate one normal mode of the ring")
@@ -281,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_positive_float, default=None)
     p.add_argument("--output", "-o", default=None, help="trajectory CSV")
     p.add_argument("--summary", default=None, help="summary JSON path")
-    p.add_argument("--units", choices=("natural",), default="natural",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("solutions", help="catalog of the eight plane-wave solutions")
@@ -303,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_positive_float, default=200.0)
     p.add_argument("--t-total", type=_positive_float, default=40.0)
     p.add_argument("--samples", type=_positive_int, default=20)
-    p.add_argument("--method", choices=("spectral", "rk4"), default="spectral")
     p.add_argument("--output", "-o", default=None, help="snapshot CSV")
     p.add_argument("--summary", default=None, help="summary JSON path")
     _add_unit_flags(p)
@@ -314,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # unknown flags are reported on one line, like the subcommands' other usage errors
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise _UsageError(f"dirac8 {args.command}: error: unrecognized arguments: "
+                              + " ".join(unknown))
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

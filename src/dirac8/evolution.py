@@ -10,10 +10,11 @@ left row is eta times its right vector up to scale.  The default propagator
 projects the Fourier coefficients with Lt, advances each branch by its phase
 exp(-i E t / hbar) and reconstructs with R.  No numerical eigen-solve is
 involved, and at k = 0, where the acoustic energies coincide, the two
-acoustic vectors stay independent by construction.  An RK4 method-of-lines
-stepper on the assembled sector matrices is provided as an independent
-cross-check.  The second-order system x'' = -D x evolves per mode by its
-closed-form propagator in cos and sinc of the roots of D.
+acoustic vectors stay independent by construction.  It is the only propagator
+the library runs; ``evolve_rk4``, an RK4 method-of-lines stepper on the
+assembled sector matrices, is the tests' independent cross-check.  The
+second-order system x'' = -D x evolves per mode by its closed-form propagator
+in cos and sinc of the roots of D.
 """
 
 from __future__ import annotations
@@ -75,19 +76,16 @@ class KgfFieldState:
 
 @dataclass(frozen=True)
 class PacketSpec:
-    """Gaussian wave packet riding on a single dispersion branch."""
+    """Gaussian wave packet riding on a single dispersion branch (of either spin sector)."""
 
     k0: float
     sigma: float
     branch: Branch
-    spin: str = "up"
     center: float = 0.0
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.spin not in ("up", "down"):
-            raise ValueError("spin must be 'up' or 'down'")
 
 
 def _wavenumbers(n_grid: int, L: float) -> np.ndarray:
@@ -104,6 +102,11 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
         raise ValueError("packet width under-resolved: sigma must be >= 4 grid spacings")
     if not math.isfinite(spec.sigma * spec.sigma):
         raise ValueError("packet width too large: sigma squared overflows")
+    k_nyquist = math.pi * n_grid / L
+    if not math.isfinite(k_nyquist):
+        raise ValueError("grid too fine: the Nyquist wavenumber pi n_grid / L overflows")
+    if not math.isfinite(k_nyquist * spec.center):
+        raise ValueError("packet center too far out: its phase k * center overflows")
     ks = _wavenumbers(n_grid, L)
     with np.errstate(over="ignore"):  # far from k0 the square overflows; exp(-inf) = 0 is intended
         weights = np.exp(-0.5 * (ks - spec.k0) ** 2 * spec.sigma**2)
@@ -147,19 +150,14 @@ def _modal_propagator(state: FieldState, params: QuantumParams):
     return at
 
 
-def evolve(state: FieldState, dt: float, n_steps: int, params: QuantumParams,
-           method: str = "spectral") -> FieldState:
-    """Advance the sector field by n_steps of size dt.
+def evolve(state: FieldState, dt: float, n_steps: int, params: QuantumParams) -> FieldState:
+    """Advance the sector field by dt * n_steps, in one shot of the exact modal propagator."""
+    return _modal_propagator(state, params)(dt * n_steps)
 
-    'spectral' applies the exact modal propagator for the total interval in
-    one shot (dt * n_steps); 'rk4' takes n_steps classical RK4 steps of the
-    method-of-lines system with spectral spatial derivatives, subject to
-    dt < dz / (4 c).
-    """
-    if method == "spectral":
-        return _modal_propagator(state, params)(dt * n_steps)
-    if method != "rk4":
-        raise ValueError(f"unknown method {method!r}")
+
+def evolve_rk4(state: FieldState, dt: float, n_steps: int,
+               params: QuantumParams) -> FieldState:
+    """n_steps RK4 steps of each Fourier mode's dc/dt = -i H(k) c / hbar; needs dt < dz / (4 c)."""
     if dt >= state.dz / (4 * params.c):
         raise ValueError("rk4 step too large: require dt < dz / (4 c)")
     M = -1j * _sector_matrices(_wavenumbers(state.n_grid, state.L), params) / params.hbar
@@ -179,23 +177,11 @@ def evolve(state: FieldState, dt: float, n_steps: int, params: QuantumParams,
 
 
 def evolve_samples(state: FieldState, dt: float, n_samples: int,
-                   params: QuantumParams,
-                   method: str = "spectral") -> Iterator[FieldState]:
-    """Yield the states at state.t + i * dt for i = 1 .. n_samples.
-
-    'spectral' projects onto the branch modes once and evaluates the exact
-    propagator at each sample time; 'rk4' runs ``evolve`` from each sample to
-    the next in the fewest equal steps that keep below dz / (4 c).
-    """
-    if method == "spectral":
-        at = _modal_propagator(state, params)
-        for i in range(1, n_samples + 1):
-            yield at(i * dt)
-        return
-    n_sub = math.floor(4 * params.c * abs(dt) / state.dz) + 1
-    for _ in range(n_samples):
-        state = evolve(state, dt / n_sub, n_sub, params, method=method)
-        yield state
+                   params: QuantumParams) -> Iterator[FieldState]:
+    """Yield the states at state.t + i * dt, i = 1 .. n_samples, from one modal projection."""
+    at = _modal_propagator(state, params)
+    for i in range(1, n_samples + 1):
+        yield at(i * dt)
 
 
 def packet_centroid(state: FieldState) -> float:
@@ -250,26 +236,22 @@ def conserved_quadratic(state: FieldState, params: QuantumParams) -> float:
 
 def measure_group_velocity(spec: PacketSpec, params: QuantumParams,
                            n_grid: int = 1024, L: float = 200.0,
-                           t_total: float = 40.0, n_samples: int = 20,
-                           method: str = "spectral",
-                           min_displacement: float | None = None) -> float:
-    """Least-squares slope of the packet centroid versus time.
+                           t_total: float = 40.0, n_samples: int = 20) -> float:
+    """Least-squares slope of the packet centroid versus time under exact evolution.
 
-    The total displacement must stay below L/4 (wrap ambiguity) and, unless
-    min_displacement is overridden, above 10 grid spacings.
+    The total displacement must stay below L/4 (wrap ambiguity) and above 10
+    grid spacings (the measurement floor).
     """
     state = init_packet(spec, n_grid, L, params)
-    if min_displacement is None:
-        min_displacement = 10 * state.dz
     times = [state.t]
     positions = [packet_centroid(state)]
-    for s in evolve_samples(state, t_total / n_samples, n_samples, params, method):
+    for s in evolve_samples(state, t_total / n_samples, n_samples, params):
         times.append(s.t)
         positions.append(packet_centroid(s))
     slope, displacement = centroid_velocity(times, positions, L)
     if displacement > L / 4:
         raise ValueError("packet displacement exceeds L/4; shorten the run")
-    if displacement < min_displacement:
+    if displacement < 10 * state.dz:
         raise ValueError("packet displacement below the measurement floor; lengthen the run")
     return slope
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -103,8 +104,14 @@ class ChainParams:
             raise ParameterError("I and J must be non-negative")
         s = characteristic_scales(self)
         finite = all(math.isfinite(x * x) for x in vars(s).values())  # the dispersion squares them
-        if not (finite and s.omega_O > 0 and s.omega_A > 0):
-            raise ParameterError("derived scales need finite squares, omega_O and omega_A nonzero")
+        # modal_pair multiplies entries of D: the couplings' squares must be normal floats,
+        # and twice the square of the zone-edge trace, which bounds every entry and root, finite
+        w_O2, w_A2 = s.omega_O * s.omega_O, s.omega_A * s.omega_A
+        trace = w_O2 + w_A2 + 4 * (s.omega_m * s.omega_m + s.omega_M * s.omega_M)
+        if not (finite and min(w_O2 * w_O2, w_A2 * w_A2) >= sys.float_info.min
+                and math.isfinite(2 * trace * trace) and math.isfinite(2 * math.pi / self.a)):
+            raise ParameterError("derived scales must fit in a float: finite squares, normal "
+                                 "omega_O^4 and omega_A^4, finite zone-edge D and 2 pi / a")
 
 
 @dataclass(frozen=True)

@@ -46,30 +46,25 @@ class Amplitudes(NamedTuple):
     form: str  # "closed-form" | "rationalized" | "pz0-limit"
 
 
-def amplitudes(branch: Branch, p_z: float, params: QuantumParams,
-               b1: complex = 1.0) -> Amplitudes:
-    """Closed-form amplitudes (b1, b3, d1, d3) of one spin sector.
+def amplitudes(branch: Branch, p_z: float, params: QuantumParams) -> Amplitudes:
+    """Closed-form amplitudes (b1, b3, d1, d3) of one spin sector, seeded b1 = 1.
 
-    b3/b1 is the ratio of ``dispersion.amplitude_pair``, scaled to the seed
-    b1 (the negative optical branch uses its rationalized form).  The
-    secondary sector repeats the primary one on the acoustic branches and
-    is d = -eps^2 b on the optical ones.  At p_z = 0 exactly, the
-    negative-optical eigenvector has no component on b1; the continuous
-    limit (0, b3, 0, d3) is returned with the seed applied to b3.
+    b3 is the ratio b3/b1 of ``dispersion.amplitude_pair`` (the negative
+    optical branch uses its rationalized form).  The secondary sector repeats
+    the primary one on the acoustic branches and is d = -eps^2 b on the
+    optical ones.  At p_z = 0 exactly, the negative-optical eigenvector has no
+    component on b1; the continuous limit (0, 1, 0, d3) is returned, seeded
+    b3 = 1.
     """
-    if b1 == 0:
-        raise ValueError("seed amplitude must be nonzero")
     g = 1.0 if branch.kind == "acoustic" else -params.epsilon**2
     pair_b1, pair_b3 = amplitude_pair(branch, p_z, params)
     if pair_b1 == 0:
-        # b1 drops out of the eigenvector; seed b3 instead.
-        return Amplitudes(0.0, b1, 0.0, g * b1, "pz0-limit")
+        return Amplitudes(0.0, 1.0, 0.0, g, "pz0-limit")
     ratio = pair_b3 / pair_b1
     if branch == OPTICAL_PLUS and "b3-ratio" in _FAULTS:
         ratio *= 1.01
     form = "rationalized" if branch == OPTICAL_MINUS else "closed-form"
-    d1 = g * b1
-    return Amplitudes(b1, ratio * b1, d1, ratio * d1, form)
+    return Amplitudes(1.0, ratio, g, ratio * g, form)
 
 
 @dataclass(frozen=True)
@@ -101,10 +96,10 @@ class PlaneWaveSolution:
         return self.amplitudes[_SLOTS[self.spin]]
 
 
-def build_solution(branch: Branch, spin: str, p_z: float, params: QuantumParams,
-                   b1: complex = 1.0) -> PlaneWaveSolution:
+def build_solution(branch: Branch, spin: str, p_z: float,
+                   params: QuantumParams) -> PlaneWaveSolution:
     """Construct the cataloged plane-wave solution for one (branch, spin)."""
-    amp = amplitudes(branch, p_z, params, b1=b1)
+    amp = amplitudes(branch, p_z, params)
     sol = PlaneWaveSolution(branch=branch, spin=spin, p_z=p_z,
                             E=branch_energy(branch, p_z, params),
                             amplitudes=np.zeros(8, dtype=complex), form=amp.form)

@@ -23,8 +23,8 @@ def _add(rep, name, reference, measured, tolerance, notes=""):
                   measured=float(measured), tolerance=tolerance, notes=notes))
 
 
-def _squaring_checks(rep: VerificationReport, rng: np.random.Generator,
-                     n_draws: int = 100) -> None:
+def _squaring_checks(rep: VerificationReport, rng: np.random.Generator) -> None:
+    n_draws = 100
     worst4 = worst8 = 0.0
     for _ in range(n_draws):
         p = rng.uniform(-5, 5, size=3)
@@ -72,9 +72,9 @@ def _velocity_checks(rep: VerificationReport, qp: QuantumParams) -> None:
          sub / qp.c, 1.0)
 
 
-def _eigen_checks(rep: VerificationReport, eps_values=(0.25, 0.5, 2.0)) -> None:
+def _eigen_checks(rep: VerificationReport) -> None:
     worst_imag = worst_match = 0.0
-    for eps in eps_values:
+    for eps in (0.25, 0.5, 2.0):
         qp = QuantumParams(epsilon=eps)
         for p in (0.0, 0.5, 1.0, 3.0):
             H = matrices.hamiltonian_d8((0.0, 0.0, p), qp)
@@ -107,8 +107,8 @@ def nullspace_deviation(branch, p_z: float, qp: QuantumParams) -> float:
     return float(np.linalg.norm(v - proj))
 
 
-def _amplitude_checks(rep: VerificationReport, rng: np.random.Generator,
-                      n_draws: int = 50) -> None:
+def _amplitude_checks(rep: VerificationReport, rng: np.random.Generator) -> None:
+    n_draws = 50
     worst = 0.0
     for _ in range(n_draws):
         p = rng.uniform(-5, 5)
@@ -120,9 +120,9 @@ def _amplitude_checks(rep: VerificationReport, rng: np.random.Generator,
          worst, 1e-10, f"{n_draws} random (p_z, eps) draws, all branches")
 
 
-def _catalog_checks(rep: VerificationReport, qp: QuantumParams, p_z: float = 1.0,
-                    rng: np.random.Generator | None = None) -> None:
-    rng = rng or np.random.default_rng(0)
+def _catalog_checks(rep: VerificationReport, qp: QuantumParams,
+                    rng: np.random.Generator) -> None:
+    p_z = 1.0
     sols = planewaves.catalog_eight(p_z, qp)
     pts = [(t, z) for t, z in rng.uniform(-10, 10, size=(20, 2))]
     scale = qp.rest_energy * max(np.abs(s.amplitudes).max() for s in sols)
@@ -198,17 +198,18 @@ def _evolution_checks(rep: VerificationReport, qp: QuantumParams,
 
     if fast:
         return
-    grid = dict(n_grid=512, L=100.0, n_samples=12)
-    spec = evolution.PacketSpec(k0=1.0, sigma=4.0, branch=dispersion.ACOUSTIC_PLUS)
-    v = evolution.measure_group_velocity(spec, qp, t_total=20.0, **grid)
-    _add(rep, "acoustic packet speed = c", "group-velocity measurement",
-         abs(v - qp.c) / qp.c, 1e-3)
-    for b, sign in ((dispersion.OPTICAL_PLUS, 1), (dispersion.OPTICAL_MINUS, -1)):
-        spec = evolution.PacketSpec(k0=1.0, sigma=8.0, branch=b)
-        v = evolution.measure_group_velocity(spec, qp, t_total=20.0, **grid)
-        v_ref = dispersion.group_velocity(b, 1.0, qp)
-        _add(rep, f"{b.label} packet group velocity", "group-velocity measurement",
-             abs(v - v_ref) / abs(v_ref), 1e-2)
+    grid = dict(n_grid=512, L=100.0, t_total=20.0, n_samples=12)
+    for b, sigma, name, tol in (
+            (dispersion.ACOUSTIC_PLUS, 4.0, "acoustic packet speed = c", 1e-3),
+            (dispersion.OPTICAL_PLUS, 8.0, "optical+ packet group velocity", 1e-2),
+            (dispersion.OPTICAL_MINUS, 8.0, "optical- packet group velocity", 1e-2)):
+        spec = evolution.PacketSpec(k0=1.0, sigma=sigma, branch=b)
+        v_ref = dispersion.group_velocity(b, 1.0, qp)  # +c on the acoustic branch
+        try:
+            v, note = evolution.measure_group_velocity(spec, qp, **grid), ""
+        except ValueError as exc:  # a packet that cannot be measured fails its check
+            v, note = math.inf, str(exc)
+        _add(rep, name, "group-velocity measurement", abs(v - v_ref) / abs(v_ref), tol, note)
 
 
 def full_report(epsilon: float = 0.5, corrupt: str | None = None,
@@ -225,7 +226,7 @@ def full_report(epsilon: float = 0.5, corrupt: str | None = None,
         _velocity_checks(rep, qp)
         _eigen_checks(rep)
         _amplitude_checks(rep, rng)
-        _catalog_checks(rep, qp, rng=rng)
+        _catalog_checks(rep, qp, rng)
         _chain_checks(rep)
         _evolution_checks(rep, qp, fast=fast)
     finally:

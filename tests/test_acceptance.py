@@ -172,7 +172,7 @@ def test_criterion_10_spectral_exact_and_rk4():
     exact = evo.evolve(packet, 2.0, 1, QP)
 
     def rk4_err(dt):
-        out = evo.evolve(packet, dt, round(2.0 / dt), QP, method="rk4")
+        out = evo.evolve_rk4(packet, dt, round(2.0 / dt), QP)
         return np.max(np.abs(out.fields - exact.fields))
 
     ratio = rk4_err(0.04) / rk4_err(0.02)

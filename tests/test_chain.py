@@ -85,6 +85,9 @@ def test_invalid_chain_params():
     dict(m=1e300, M=1e300, K=1e-300, I=0, J=0, a=1),  # omega_O, omega_A underflow to 0
     dict(m=1e300, M=1e-300, K=1, I=1, J=1, a=1),     # mass ratio overflows
     dict(m=1, M=1, K=1, I=1, J=1, a=1e200),          # continuum speed squared overflows
+    dict(m=1, M=4, K=1e-320, I=0, J=0, a=1),         # omega_O^4 underflows in modal_pair
+    dict(m=1, M=4, K=1e154, I=1, J=1, a=1),          # the zone-edge trace squared overflows
+    dict(m=1, M=4, K=1, I=1, J=1, a=5e-324),         # the zone edge 2 pi / a overflows
 ])
 def test_chain_params_reject_unrepresentable_scales(kwargs):
     with pytest.raises(ParameterError):

@@ -1,15 +1,21 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dirac8 import chain
-from dirac8.cli import main
+from dirac8.cli import build_parser, main
 from dirac8.params import ChainParams
 
 
@@ -147,6 +153,15 @@ def test_chain_unstable_dt():
     assert main(["chain", "--dt", "10.0", "-o", "/dev/null"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--amplitude", "5e-324", "-o", os.devnull],  # the displacements underflow to 0
+    ["verify", "--epsilon", "1e20"],  # the packets are too slow to measure
+])
+def test_unmeasurable_runs_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_chain_bad_mode():
     assert main(["chain", "--mode", "500", "--n", "16"]) == 2
 
@@ -273,6 +288,15 @@ def test_evolve_deterministic(tmp_path):
     ["evolve", "--units", "custom", "--m-e", "1e-320"],
     ["dispersion", "--pmax", "1e300"],
     ["dispersion", "--units", "custom", "--m-e", "1e154", "--epsilon", "0", "--pmax", "1.3e154"],
+    ["chain", "--K", "1e-320", "--I", "0", "--J", "0", "--n", "8", "--mode", "2"],
+    ["verify", "--units", "natural"],  # verify and chain run in natural units only
+    ["verify", "--c", "2"],
+    ["chain", "--units", "natural"],
+    ["evolve", "--method", "spectral"],  # evolve always uses the exact propagator
+    ["chain", "--dt", "5e-324"],  # the step count overflows a float
+    ["evolve", "--L", "5e-324"],  # the Nyquist wavenumber overflows
+    ["evolve", "--center", "1e308"],  # the packet phase k * center overflows
+    ["evolve", "--samples", "8", "--t-total", "7.2e-309"],  # the fitted times square to 0
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     try:
@@ -284,13 +308,130 @@ def test_bad_arguments_exit_2(argv, capsys):
     assert len(err) == 1 and "Traceback" not in err[0]
 
 
-def test_evolve_rk4_at_defaults_matches_spectral(tmp_path):
-    velocities = []
-    for method in ("spectral", "rk4"):
-        summ = tmp_path / f"{method}.json"
-        code = main(["evolve", "--method", method, "-o", str(tmp_path / f"{method}.csv"),
-                     "--summary", str(summ)])
-        assert code == 0
-        velocities.append(json.loads(summ.read_text())["measured_group_velocity"])
-    spectral, rk4 = velocities
-    assert abs(rk4 - spectral) <= 1e-4 * abs(spectral)
+# --- the CLI contract over drawn arguments ------------------------------------
+
+_JUNK = st.sampled_from(["", "abc", "1e", "0x10", "1,5", "--", "nan", "inf", "-inf"])
+_EDGE = st.sampled_from(["5e-324", "1e-320", "2.2e-308", "1e-160", "1e-154", "1e154", "1e200",
+                            "1.7976931348623157e308", "1e400", "0", "-0", "-1"])
+_NUMBER = st.one_of(  # finite, huge, tiny, subnormal, nan, inf and not a number
+    _EDGE, _EDGE, st.floats(0.01, 10.0).map(repr), st.floats().map(repr),
+    st.integers(-10, 10**400).map(str), _JUNK)
+
+
+def _small_int(hi):
+    return st.one_of(st.integers(-2, hi).map(str), _JUNK)
+
+
+def _choice(*values):
+    return st.one_of(st.sampled_from(values), _JUNK)
+
+
+_UNITS = {"--units": _choice("natural", "custom"), "--m-e": _NUMBER, "--c": _NUMBER,
+          "--hbar": _NUMBER}
+_BRANCHES = ("acoustic+", "acoustic-", "optical+", "optical-")
+# --n, --n-grid, --samples, --periods and --t-total are bounded only to keep the runs short
+_FLAGS = {
+    "dispersion": {"--epsilon": _NUMBER, "--pmax": _NUMBER, "--n": _small_int(200), **_UNITS},
+    "verify": {"--epsilon": _NUMBER, "--fast": None, "--corrupt": _choice("b3-ratio")},
+    "chain": {**{f: _NUMBER for f in ("--m", "--M", "--K", "--I", "--J", "--a",
+                                      "--amplitude", "--dt")},
+              "--mode": st.one_of(st.integers(-2, 20).map(str), _NUMBER),
+              "--n": _small_int(16), "--branch": _choice("acoustic", "optical"),
+              "--periods": st.one_of(st.floats(0, 4).map(repr), _JUNK)},
+    "solutions": {"--pz": _NUMBER, "--epsilon": _NUMBER, **_UNITS},
+    "evolve": {**{f: _NUMBER for f in ("--k0", "--epsilon", "--sigma", "--center", "--L")},
+               "--branch": _choice(*_BRANCHES), "--n-grid": _small_int(512),
+               "--samples": _small_int(8),
+               "--t-total": st.one_of(st.floats(-1, 50).map(repr), _JUNK), **_UNITS},
+}
+# flags that verify, chain and evolve do not take: drawing one must exit 2
+_REMOVED = {"verify": _UNITS, "chain": {"--units": _choice("natural")},
+            "evolve": {"--method": _choice("spectral", "rk4")}}
+_OUTPUTS = {"dispersion": ("-o",), "verify": ("-o",), "chain": ("-o", "--summary"),
+            "solutions": ("-o",), "evolve": ("-o", "--summary")}
+_MAX_CHAIN_STEPS = 5000
+
+
+@st.composite
+def _argv(draw, command):
+    removed = _REMOVED.get(command, {})
+    flags = {**_FLAGS[command], **removed}
+    names = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4))
+    argv = [command]
+    for name in names:
+        argv += [name] if flags[name] is None else [name, draw(flags[name])]
+    return argv, any(name in removed for name in names)
+
+
+@pytest.mark.parametrize("command, examples", [
+    ("dispersion", 60), ("solutions", 60), ("evolve", 100), ("chain", 100), ("verify", 8)])
+def test_cli_contract_on_drawn_arguments(command, examples, tmp_path):
+    """Every drawn argv exits 0, 1 or 2, never with a traceback; exit 2 prints one line.
+
+    An exception out of ``main`` is the traceback.  Warnings are recorded, not
+    raised, as the ``dirac8`` process prints them to stderr: they may
+    accompany exits 0 and 1, but not the one line of exit 2.  Chain runs
+    longer than _MAX_CHAIN_STEPS steps are discarded when they start stepping:
+    their length follows from --dt and the frequency ratio as well as from
+    --n and --periods.
+    """
+    outputs = [a for flag in _OUTPUTS[command] for a in (flag, str(tmp_path / flag.strip("-")))]
+    simulate = chain.simulate
+
+    def short_simulate(state, dt, n_steps, params, record_every=1):
+        assume(n_steps <= _MAX_CHAIN_STEPS)
+        return simulate(state, dt, n_steps, params, record_every=record_every)
+
+    @settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+    @given(_argv(command))
+    def check(drawn):
+        argv, removed = drawn
+        err = io.StringIO()
+        budget = mock.patch.object(chain, "simulate", short_simulate) \
+            if command == "chain" else contextlib.nullcontext()  # verify's own runs are fixed
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught, budget:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv + outputs)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1 and not caught, (argv, err.getvalue())
+        if removed:
+            assert code == 2, argv
+
+    check()
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--units", "custom", "--n", "5"],
+    ["verify", "--fast"],
+    ["chain", "--n", "8", "--periods", "3", "--summary", "summary.json"],
+    ["solutions", "--units", "custom"],
+    ["evolve", "--units", "custom", "--n-grid", "256", "--samples", "2",
+     "--summary", "summary.json"],
+])
+def test_every_flag_reaches_its_handler(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    parser = build_parser()
+    args = parser.parse_args(argv + ["-o", "out"], namespace=_ReadRecorder())
+    args.reads.clear()  # argparse reads the namespace while it fills it
+    assert args.func(args) == 0
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices[argv[0]]._actions} - {"help"}
+    assert dests <= args.reads, f"flags never read: {sorted(dests - args.reads)}"

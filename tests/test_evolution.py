@@ -76,11 +76,11 @@ def test_rk4_fourth_order_convergence():
     spec = evo.PacketSpec(k0=1.0, sigma=4.0, branch=OPTICAL_PLUS, center=25.0)
     state = evo.init_packet(spec, 128, 50.0, QP)
     T = 2.0
-    exact = evo.evolve(state, T, 1, QP, method="spectral")
+    exact = evo.evolve(state, T, 1, QP)
 
     def err(dt):
         n = round(T / dt)
-        out = evo.evolve(state, dt, n, QP, method="rk4")
+        out = evo.evolve_rk4(state, dt, n, QP)
         return np.max(np.abs(out.fields - exact.fields))
 
     ratio = err(0.04) / err(0.02)
@@ -91,7 +91,7 @@ def test_rk4_cfl_guard():
     spec = evo.PacketSpec(k0=1.0, sigma=4.0, branch=OPTICAL_PLUS, center=25.0)
     state = evo.init_packet(spec, 128, 50.0, QP)
     with pytest.raises(ValueError):
-        evo.evolve(state, 1.0, 2, QP, method="rk4")
+        evo.evolve_rk4(state, 1.0, 2, QP)
 
 
 def test_centroid_translation_equivariance():
@@ -387,11 +387,11 @@ def test_production_path_needs_no_eigensolver(monkeypatch):
 def test_evolve_samples_match_single_shot_evolution():
     spec = evo.PacketSpec(k0=1.0, sigma=5.0, branch=ACOUSTIC_MINUS, center=50.0)
     state = evo.init_packet(spec, 256, 100.0, QP)
-    for method, dt in (("spectral", 1.5), ("rk4", 0.05)):
-        samples = list(evo.evolve_samples(state, dt, 4, QP, method=method))
-        assert [s.t for s in samples] == pytest.approx([dt, 2 * dt, 3 * dt, 4 * dt])
-        ref = evo.evolve(state, dt, 4, QP, method=method)
-        assert np.max(np.abs(samples[-1].fields - ref.fields)) < 1e-12
+    dt = 1.5
+    samples = list(evo.evolve_samples(state, dt, 4, QP))
+    assert [s.t for s in samples] == pytest.approx([dt, 2 * dt, 3 * dt, 4 * dt])
+    ref = evo.evolve(state, dt, 4, QP)
+    assert np.max(np.abs(samples[-1].fields - ref.fields)) < 1e-12
 
 
 def test_centroid_velocity_unwraps_the_ring():

@@ -58,11 +58,6 @@ def test_optical_minus_rest_limit():
     assert np.linalg.norm(H @ v - E * v) < 1e-14
 
 
-def test_amplitudes_zero_seed_rejected():
-    with pytest.raises(ValueError):
-        pw.amplitudes(ACOUSTIC_PLUS, 1.0, QP, b1=0.0)
-
-
 def test_secondary_amplitude_scales_as_eps_squared():
     eps_grid = np.array([0.01, 0.03, 0.1, 0.3])
     ratios = [abs(pw.amplitudes(OPTICAL_PLUS, 1.0, QuantumParams(epsilon=e)).d1)
