@@ -17,6 +17,8 @@ import numpy as np
 from .dispersion import continuum_dispersion, modal_pair
 from .params import ChainParams, ContinuumParams, characteristic_scales
 
+CONVERGENCE_KA = (0.2, 0.1, 0.05, 0.025)  # the k a of ``convergence_exponent``'s fit
+
 
 @dataclass
 class LatticeState:
@@ -212,14 +214,16 @@ def measure_mode_frequency(times: np.ndarray, signal: np.ndarray) -> float:
     return math.pi / mean_gap
 
 
-def convergence_exponent(params: ChainParams, ka_values) -> float:
+def convergence_exponent(params: ChainParams) -> float:
     """Fitted log-log slope of the acoustic-branch discrete-vs-continuum error.
 
     The error metric is |omega_disc^2 - omega_cont^2| / omega_cont^2 at
-    k = ka / a; second-order convergence to the continuum gives slope ~2.
+    k = ka / a for each ka in ``CONVERGENCE_KA``; second-order convergence to
+    the continuum gives slope ~2.
     """
-    k = np.asarray(ka_values, dtype=float) / params.a
+    ka = np.asarray(CONVERGENCE_KA)
+    k = ka / params.a
     w2_disc = discrete_dispersion(k, params).omega_acoustic ** 2
     w2_cont = continuum_dispersion(k, ContinuumParams.from_chain(params))[0]
     errs = np.abs(w2_disc - w2_cont) / np.abs(w2_cont)
-    return float(np.polyfit(np.log(np.asarray(ka_values)), np.log(errs), 1)[0])
+    return float(np.polyfit(np.log(ka), np.log(errs), 1)[0])

@@ -10,9 +10,11 @@ verification/runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
+import os
 import platform
 import sys
 
@@ -104,26 +106,24 @@ def _add_unit_flags(p) -> None:
 def cmd_dispersion(args) -> int:
     eps_list = args.epsilon if args.epsilon else [0.5]
     base, units = _unit_params(args, max(eps_list))
-    # the largest energy in the table, (c pmax)^2 + gap^2, must fit; gap grows with epsilon
-    cp, gap = base.c * args.pmax, base.gap_energy
-    if not math.isfinite(cp * cp + gap * gap):
+    # the largest energy in the table is the optical one at pmax and the largest epsilon
+    if not math.isfinite(dispersion.branch_energy(dispersion.OPTICAL_PLUS, args.pmax, base)):
         raise _UsageError(f"dispersion: the optical energy at --pmax {args.pmax!r} overflows")
     grid = np.linspace(-args.pmax, args.pmax, args.n)
     _write(args.output, itertools.chain.from_iterable(
         _csv(_header(units, eps) + [",".join(dispersion.FIGURE2_COLUMNS)],
-             [((), dispersion.figure2_table(eps, grid, base).T)])
+             [((), dispersion.figure2_table(grid, dataclasses.replace(base, epsilon=eps)).T)])
         for eps in eps_list))
     return 0
 
 
 def cmd_verify(args) -> int:
-    rep = verify.full_report(epsilon=args.epsilon, corrupt=args.corrupt,
-                             fast=args.fast)
+    rep = verify.full_report(epsilon=args.epsilon, corrupt=args.corrupt)
     lines = _header(_NATURAL, args.epsilon) + rep.lines()
     print("\n".join(lines))
     if args.output:
         _write(args.output, [json.dumps(
-            {"epsilon": args.epsilon, "fast": args.fast, "seed": verify.SEED,
+            {"epsilon": args.epsilon, "seed": verify.SEED,
              "versions": {"python": platform.python_version(), "numpy": np.__version__,
                           "platform": platform.platform()},
              "passed": rep.passed, "notes": rep.notes, "checks": rep.to_rows()},
@@ -149,10 +149,10 @@ def cmd_chain(args) -> int:
     mp = chain_mod.discrete_dispersion(k, params)
     omega = mp.omega_acoustic if args.branch == "acoustic" else mp.omega_optical
     sim_time = args.periods * 2 * math.pi / omega if omega > 0 else 100 * dt
-    steps = float(sim_time) / float(dt)  # as Python floats an overflow reads inf, unwarned
-    if not math.isfinite(steps):
-        raise _UsageError("chain: the run takes more steps than a float can count; raise --dt")
-    n_steps = max(int(steps), 1)
+    if sim_time + dt == sim_time:  # the run would never end; this also bounds sim_time / dt
+        raise _UsageError(f"chain: a step of {float(dt)!r} does not advance the clock at "
+                          f"{float(sim_time)!r}; raise --dt or lower --periods")
+    n_steps = max(int(sim_time / dt), 1)
     record_every = max(n_steps // 400, 1)
     times, us, Us, dus, dUs, final = chain_mod.simulate(state, dt, n_steps, params,
                                                         record_every=record_every)
@@ -169,8 +169,7 @@ def cmd_chain(args) -> int:
     head = _header(_NATURAL, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"]
     _write(args.output, _csv(head, frames))
 
-    slope = chain_mod.convergence_exponent(params, (0.2, 0.1, 0.05, 0.025)) \
-        if min(params.I, params.J) > 0 else None
+    slope = chain_mod.convergence_exponent(params) if min(params.I, params.J) > 0 else None
     e0, e1 = (chain_mod.total_energy(s, params) for s in (state, final))
     summary = {
         "mode_index": args.mode, "branch": args.branch, "wavenumber": k,
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--epsilon", type=_nonnegative_float, default=0.5)
-    p.add_argument("--fast", action="store_true",
-                   help="skip the slower packet-velocity measurements")
     p.add_argument("--corrupt", choices=("b3-ratio",), default=None, help=argparse.SUPPRESS)
     p.add_argument("--output", "-o", default=None, help="also write a JSON report")
     p.set_defaults(func=cmd_verify)
@@ -325,13 +322,20 @@ def main(argv=None) -> int:
         if unknown:
             raise _UsageError(f"dirac8 {args.command}: error: unrecognized arguments: "
                               + " ".join(unknown))
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
     except ParameterError as exc:  # flags that pass argparse but give no usable parameter set
         print(f"dirac8 {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:  # an input whose arithmetic leaves the float range
+        print(f"dirac8 {args.command}: error: out of float range: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the reader closed stdout; keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -177,13 +177,11 @@ FIGURE2_COLUMNS = ("p_z", "E_acoustic_plus", "E_acoustic_minus",
                    "E_optical_plus", "E_optical_minus")
 
 
-def figure2_table(epsilon: float, p_grid, params: QuantumParams | None = None) -> np.ndarray:
-    """Branch energies on a momentum grid for the given mass ratio.
+def figure2_table(p_grid, params: QuantumParams) -> np.ndarray:
+    """Branch energies on a momentum grid, at the mass ratio params.epsilon.
 
     Returns an array of rows (p_z, E_A+, E_A-, E_O+, E_O-); at eps = 0 the
     optical columns reduce to the standard single-mass hyperbola.
     """
-    base = params if params is not None else QuantumParams()
-    qp = base.replace_epsilon(epsilon)
     p = np.asarray(p_grid, dtype=float)
-    return np.column_stack([p] + [branch_energy(b, p, qp) for b in BRANCHES])
+    return np.column_stack([p] + [branch_energy(b, p, params) for b in BRANCHES])

@@ -35,36 +35,40 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
+_ALPHA = {0: np.block([[I2, Z2], [Z2, -I2]]),
+          **{j: np.block([[Z2, s], [s, Z2]]) for j, s in enumerate(_PAULI.values(), 1)}}
+_A = {"0-": np.block([[Z4, Z4], [-_ALPHA[0], _ALPHA[0]]]),
+      "0+": np.block([[_ALPHA[0], -_ALPHA[0]], [Z4, Z4]]),
+      **{str(j): np.block([[_ALPHA[j], Z4], [Z4, _ALPHA[j]]]) for j in (1, 2, 3)}}
+
+# positions of (b, b', d, d') in the eight-component vector, per spin
+SPIN_SLOTS = {"up": [0, 2, 4, 6], "down": [1, 3, 5, 7]}
+
+
 def alpha(index: int) -> np.ndarray:
-    """Return one of the four anticommuting 4x4 alpha matrices.
+    """Return a copy of one of the four anticommuting 4x4 alpha matrices.
 
     alpha_0 = diag(I2, -I2); alpha_j (j = 1, 2, 3) has the Pauli matrix
-    sigma_j in the off-diagonal 2x2 blocks.
+    sigma_j in the off-diagonal 2x2 blocks.  Built once, at import.
     """
-    if index == 0:
-        return np.block([[I2, Z2], [Z2, -I2]])
-    if index in (1, 2, 3):
-        s = _PAULI["xyz"[index - 1]]
-        return np.block([[Z2, s], [s, Z2]])
-    raise ValueError(f"alpha index must be 0..3, got {index}")
+    try:
+        return _ALPHA[index].copy()
+    except (KeyError, TypeError):
+        raise ValueError(f"alpha index must be 0..3, got {index}") from None
 
 
 def a_matrix(tag: str) -> np.ndarray:
-    """Return one of the five 8x8 generalized coupling matrices.
+    """Return a copy of one of the five 8x8 generalized coupling matrices.
 
     Tags: '0-', '0+', '1', '2', '3'.  The '0-'/'0+' matrices carry the mass
     couplings (they are not involutions); A_1..A_3 are block-diagonal copies
-    of the corresponding alpha matrices and square to the identity.
+    of the corresponding alpha matrices and square to the identity.  Built
+    once, at import.
     """
-    a0 = alpha(0)
-    if tag == "0-":
-        return np.block([[Z4, Z4], [-a0, a0]])
-    if tag == "0+":
-        return np.block([[a0, -a0], [Z4, Z4]])
-    if tag in ("1", "2", "3"):
-        aj = alpha(int(tag))
-        return np.block([[aj, Z4], [Z4, aj]])
-    raise ValueError(f"unknown matrix tag {tag!r}")
+    try:
+        return _A[tag].copy()
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown matrix tag {tag!r}") from None
 
 
 def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -79,9 +83,9 @@ def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def hamiltonian_d4(p, params: QuantumParams) -> np.ndarray:
     """4x4 momentum-space Hamiltonian m_e c^2 alpha_0 + c sum_j alpha_j p_j."""
     p = np.asarray(p, dtype=float)
-    H = params.m_e * params.c**2 * alpha(0)
+    H = params.m_e * params.c**2 * _ALPHA[0]
     for j in range(3):
-        H = H + params.c * p[j] * alpha(j + 1)
+        H = H + params.c * p[j] * _ALPHA[j + 1]
     return H
 
 
@@ -93,29 +97,21 @@ def hamiltonian_d8(p, params: QuantumParams) -> np.ndarray:
     multiplicity 2).
     """
     p = np.asarray(p, dtype=float)
-    H = params.mu_f * a_matrix("0-") + params.mu_e * a_matrix("0+")
+    H = params.mu_f * _A["0-"] + params.mu_e * _A["0+"]
     for j in range(3):
-        H = H + params.c * p[j] * a_matrix(str(j + 1))
+        H = H + params.c * p[j] * _A[str(j + 1)]
     return H
 
 
 def spin_sector_hamiltonian(p_z: float, params: QuantumParams) -> np.ndarray:
     """4x4 momentum-space matrix of the 1-D first-order system, one spin sector.
 
-    Component ordering (Psi_1, Psi_3, Phi_1, Phi_3); the opposite-spin sector
-    obeys the same matrix after the index relabeling 1->2, 3->4.
+    The block of ``hamiltonian_d8((0, 0, p_z), params)`` on the spin-up slots
+    (Psi_1, Psi_3, Phi_1, Phi_3); the opposite-spin sector obeys the same
+    matrix after the index relabeling 1->2, 3->4.
     """
-    cp = params.c * p_z
-    me, mf = params.mu_e, params.mu_f
-    return np.array(
-        [
-            [me, cp, -me, 0.0],
-            [cp, -me, 0.0, me],
-            [-mf, 0.0, mf, cp],
-            [0.0, mf, cp, -mf],
-        ],
-        dtype=complex,
-    )
+    up = SPIN_SLOTS["up"]
+    return hamiltonian_d8((0.0, 0.0, p_z), params)[np.ix_(up, up)]
 
 
 def null_space(M: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:

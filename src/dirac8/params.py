@@ -76,9 +76,6 @@ class QuantumParams:
         """Angular frequency m_f c^2 / hbar."""
         return self.m_f * self.c**2 / self.hbar
 
-    def replace_epsilon(self, epsilon: float) -> "QuantumParams":
-        return QuantumParams(m_e=self.m_e, epsilon=epsilon, c=self.c, hbar=self.hbar)
-
 
 @dataclass(frozen=True)
 class ChainParams:

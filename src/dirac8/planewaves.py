@@ -18,15 +18,12 @@ import numpy as np
 
 from .dispersion import (BRANCHES, OPTICAL_MINUS, OPTICAL_PLUS, Branch,
                          amplitude_pair, branch_energy)
-from .matrices import spin_sector_hamiltonian
+from .matrices import SPIN_SLOTS, spin_sector_hamiltonian
 from .params import QuantumParams
 
 # Fault-injection hooks for verifying that the checks are sensitive.
 # Known fault names: "b3-ratio" (scales the positive-optical amplitude ratio).
 _FAULTS: set[str] = set()
-
-# positions of (b, b', d, d') in the eight-component vector, per spin
-_SLOTS = {"up": [0, 2, 4, 6], "down": [1, 3, 5, 7]}
 
 
 def set_fault(name: str | None) -> None:
@@ -93,7 +90,7 @@ class PlaneWaveSolution:
     @property
     def sector_amplitudes(self) -> np.ndarray:
         """The four amplitudes of the occupied spin sector, ordered (b, b', d, d')."""
-        return self.amplitudes[_SLOTS[self.spin]]
+        return self.amplitudes[SPIN_SLOTS[self.spin]]
 
 
 def build_solution(branch: Branch, spin: str, p_z: float,
@@ -103,7 +100,7 @@ def build_solution(branch: Branch, spin: str, p_z: float,
     sol = PlaneWaveSolution(branch=branch, spin=spin, p_z=p_z,
                             E=branch_energy(branch, p_z, params),
                             amplitudes=np.zeros(8, dtype=complex), form=amp.form)
-    sol.amplitudes[_SLOTS[spin]] = (amp.b1, amp.b3, amp.d1, amp.d3)
+    sol.amplitudes[SPIN_SLOTS[spin]] = (amp.b1, amp.b3, amp.d1, amp.d3)
     return sol
 
 

@@ -59,8 +59,8 @@ def test_criterion_02_hamiltonian_squaring():
 
 def test_criterion_03_dispersion_table():
     grid = np.linspace(-3, 3, 121)
-    rows_half = figure2_table(0.5, grid)
-    rows_zero = figure2_table(0.0, grid)
+    rows_half = figure2_table(grid, QP)
+    rows_zero = figure2_table(grid, QuantumParams(epsilon=0.0))
     i0 = 60  # p_z = 0
     ok = (abs(rows_half[i0, 3] - math.sqrt(1.25)) < 1e-12
           and abs(rows_zero[i0, 3] - 1.0) < 1e-12
@@ -119,7 +119,7 @@ def test_criterion_07_acoustic_minus_cancellation():
 def test_criterion_08_chain_continuum_convergence():
     t0 = time.perf_counter()
     cp = ChainParams(m=1.0, M=4.0, K=1.0, I=1.0, J=1.0, a=1.0)
-    slope = chain.convergence_exponent(cp, (0.2, 0.1, 0.05, 0.025))
+    slope = chain.convergence_exponent(cp)
 
     n, mode = 64, 3
     k = 2 * math.pi * mode / (n * cp.a)

@@ -294,7 +294,7 @@ def test_measure_mode_frequency_superposition():
 
 
 def test_convergence_exponent():
-    slope = chain.convergence_exponent(PARAMS, (0.2, 0.1, 0.05, 0.025))
+    slope = chain.convergence_exponent(PARAMS)
     assert slope == pytest.approx(2.0, abs=0.2)
 
 

@@ -67,7 +67,7 @@ def test_unknown_subcommand_exits_2():
 
 def test_verify_fast_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["verify", "--fast", "-o", str(out)])
+    code = main(["verify", "-o", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
     assert "# units" in printed and "PASS" in printed
@@ -75,18 +75,19 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert rep["passed"] is True
     assert all(c["status"] == "pass" for c in rep["checks"])
     assert any("single momentum term" in n for n in rep["notes"])
-    assert (rep["fast"], rep["seed"]) == (True, 20240817)
+    assert rep["seed"] == 20240817 and "fast" not in rep
+    assert len(rep["checks"]) == 49
     assert set(rep["versions"]) == {"python", "numpy", "platform"}
 
 
 def test_verify_fault_injection(capsys):
-    code = main(["verify", "--fast", "--corrupt", "b3-ratio"])
+    code = main(["verify", "--corrupt", "b3-ratio"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_hermitian_at_unit_ratio(capsys):
-    code = main(["verify", "--fast", "--epsilon", "1"])
+    code = main(["verify", "--epsilon", "1"])
     assert code == 0
     assert "Hermitian" in capsys.readouterr().out
 
@@ -228,6 +229,18 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_closed_stdout_exits_1_quietly():
+    proc = _python("-c", "import subprocess, sys\n"
+                   "p = subprocess.Popen([sys.executable, '-m', 'dirac8.cli', 'dispersion', "
+                   "'--n', '5000'], stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+                   "p.stdout.readline()\n"
+                   "p.stdout.close()\n"
+                   "sys.stderr.write(p.stderr.read().decode())\n"
+                   "sys.exit(p.wait())")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 @pytest.mark.parametrize("samples", ["0", "-3", "two"])
 def test_evolve_rejects_nonpositive_samples(samples):
     proc = _python("-m", "dirac8.cli", "evolve", "--samples", samples)
@@ -277,7 +290,7 @@ def test_evolve_deterministic(tmp_path):
     ["chain", "--periods", "2"],
     ["chain", "--periods", "2.5"],
     ["dispersion", "--epsilon", "1e300"],
-    ["verify", "--epsilon", "1e300", "--fast"],
+    ["verify", "--epsilon", "1e300"],
     ["dispersion", "--units", "custom", "--c", "1e200"],
     ["chain", "--m", "1e-300", "--K", "1e300", "--n", "8", "--mode", "1"],
     ["chain", "--m", "1e300", "--M", "1e300", "--K", "1e-300", "--I", "0", "--J", "0"],
@@ -297,6 +310,11 @@ def test_evolve_deterministic(tmp_path):
     ["evolve", "--L", "5e-324"],  # the Nyquist wavenumber overflows
     ["evolve", "--center", "1e308"],  # the packet phase k * center overflows
     ["evolve", "--samples", "8", "--t-total", "7.2e-309"],  # the fitted times square to 0
+    ["verify", "--fast"],  # verify has one configuration
+    ["chain", "--dt", "1e-300"],  # a step does not advance the clock
+    ["chain", "--periods", "1e300"],
+    ["evolve", "--L", "1e-154"],  # c k overflows in the modes' normalisation
+    ["solutions", "--pz", "1e-154"],  # the amplitudes' determinant overflows
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     try:
@@ -332,7 +350,7 @@ _BRANCHES = ("acoustic+", "acoustic-", "optical+", "optical-")
 # --n, --n-grid, --samples, --periods and --t-total are bounded only to keep the runs short
 _FLAGS = {
     "dispersion": {"--epsilon": _NUMBER, "--pmax": _NUMBER, "--n": _small_int(200), **_UNITS},
-    "verify": {"--epsilon": _NUMBER, "--fast": None, "--corrupt": _choice("b3-ratio")},
+    "verify": {"--epsilon": _NUMBER, "--corrupt": _choice("b3-ratio")},
     "chain": {**{f: _NUMBER for f in ("--m", "--M", "--K", "--I", "--J", "--a",
                                       "--amplitude", "--dt")},
               "--mode": st.one_of(st.integers(-2, 20).map(str), _NUMBER),
@@ -345,7 +363,7 @@ _FLAGS = {
                "--t-total": st.one_of(st.floats(-1, 50).map(repr), _JUNK), **_UNITS},
 }
 # flags that verify, chain and evolve do not take: drawing one must exit 2
-_REMOVED = {"verify": _UNITS, "chain": {"--units": _choice("natural")},
+_REMOVED = {"verify": {**_UNITS, "--fast": None}, "chain": {"--units": _choice("natural")},
             "evolve": {"--method": _choice("spectral", "rk4")}}
 _OUTPUTS = {"dispersion": ("-o",), "verify": ("-o",), "chain": ("-o", "--summary"),
             "solutions": ("-o",), "evolve": ("-o", "--summary")}
@@ -368,12 +386,11 @@ def _argv(draw, command):
 def test_cli_contract_on_drawn_arguments(command, examples, tmp_path):
     """Every drawn argv exits 0, 1 or 2, never with a traceback; exit 2 prints one line.
 
-    An exception out of ``main`` is the traceback.  Warnings are recorded, not
-    raised, as the ``dirac8`` process prints them to stderr: they may
-    accompany exits 0 and 1, but not the one line of exit 2.  Chain runs
-    longer than _MAX_CHAIN_STEPS steps are discarded when they start stepping:
-    their length follows from --dt and the frequency ratio as well as from
-    --n and --periods.
+    An exception out of ``main`` is the traceback.  Warnings are raised, as in
+    the rest of the suite, so an accepted input that warns fails the test.
+    Chain runs longer than _MAX_CHAIN_STEPS steps are discarded when they
+    start stepping: their length follows from --dt and the frequency ratio as
+    well as from --n and --periods.
     """
     outputs = [a for flag in _OUTPUTS[command] for a in (flag, str(tmp_path / flag.strip("-")))]
     simulate = chain.simulate
@@ -390,8 +407,8 @@ def test_cli_contract_on_drawn_arguments(command, examples, tmp_path):
         budget = mock.patch.object(chain, "simulate", short_simulate) \
             if command == "chain" else contextlib.nullcontext()  # verify's own runs are fixed
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught, budget:
-            warnings.simplefilter("always")
+                warnings.catch_warnings(), budget:
+            warnings.simplefilter("error")
             try:
                 code = main(argv + outputs)
             except SystemExit as exc:
@@ -399,7 +416,7 @@ def test_cli_contract_on_drawn_arguments(command, examples, tmp_path):
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
         if code == 2:
-            assert len(err.getvalue().splitlines()) == 1 and not caught, (argv, err.getvalue())
+            assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
         if removed:
             assert code == 2, argv
 
@@ -420,7 +437,7 @@ class _ReadRecorder(argparse.Namespace):
 
 @pytest.mark.parametrize("argv", [
     ["dispersion", "--units", "custom", "--n", "5"],
-    ["verify", "--fast"],
+    ["verify"],
     ["chain", "--n", "8", "--periods", "3", "--summary", "summary.json"],
     ["solutions", "--units", "custom"],
     ["evolve", "--units", "custom", "--n-grid", "256", "--samples", "2",

@@ -119,13 +119,13 @@ def test_optical_group_speed_subluminal():
 
 
 def test_figure2_table_rows():
-    rows = dsp.figure2_table(0.5, [0.0, 1.0])
+    rows = dsp.figure2_table([0.0, 1.0], QuantumParams(epsilon=0.5))
     assert rows.shape == (2, 5)
     p0 = rows[0]
     assert p0[1] == 0.0 and p0[2] == 0.0
     assert p0[3] == pytest.approx(math.sqrt(1.25), abs=1e-12)
     assert p0[4] == pytest.approx(-math.sqrt(1.25), abs=1e-12)
-    rows0 = dsp.figure2_table(0.0, [0.0])
+    rows0 = dsp.figure2_table([0.0], QuantumParams(epsilon=0.0))
     assert rows0[0][3] == pytest.approx(1.0, abs=1e-12)
 
 
