@@ -1,10 +1,12 @@
 """Discrete mass-in-mass chain on a periodic ring: exact dispersion (the 2x2
 problem solved by ``dispersion.modal_pair``), velocity-Verlet time stepping
-(``simulate``, the one integrator), energy, and mode-frequency measurement.
+(``simulate``), energy, and mode-frequency measurement.
 
-``simulate`` steps the stacked (2, n) state (u, U) in place on preallocated
-buffers; its Laplacian reads the periodic neighbours from two ghost columns
-instead of ``np.roll`` and is bit-identical to the ``np.roll`` form."""
+One kernel, ``_verlet``, does all stepping: it advances a (..., 2, n) stack of
+states (u, U) in place on a preallocated (..., 2, n + 2) buffer, whose two
+ghost columns give the Laplacian its periodic neighbours instead of
+``np.roll``, bit-identically to the ``np.roll`` form.  ``simulate`` passes it
+one (2, n) state; ``verify`` steps its two chain runs as one stack."""
 
 from __future__ import annotations
 
@@ -104,56 +106,49 @@ def total_energy(state: LatticeState, params: ChainParams) -> float:
     return float(kin + pot)
 
 
-def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
-             record_every: int = 1):
-    """Advance n_steps of velocity Verlet, recording a sample every record_every steps.
+def _verlet(x0, v0, t, dt: float, n_steps: int, params: ChainParams, record_every: int,
+            member=()):
+    """Advance a stack of rings by n_steps of velocity Verlet; the inputs are left unchanged.
 
-    The ring is periodic.  Returns (times, u, U, du_dt, dU_dt, final_state)
-    where the arrays have one row per recorded sample (including the initial
-    state); the input state is left unchanged and the final state owns its
-    arrays.
-
-    The kernel keeps (u, U) as the interior of one preallocated
-    (2, n_sites + 2) buffer whose two ghost columns hold the periodic
-    neighbours, so the Laplacian is a difference of slices, and every update
-    writes in place.  Each operation keeps the order of the written-out form
-    ``lap = (roll(x, 1) + roll(x, -1)) - 2 x``,
-    ``a = (K (x_other - x) + c lap) / mass``,
-    ``x <- (x + dt v) + (dt^2 / 2) a``, ``v <- v + (dt / 2)(a + a_new)``,
-    so the results are bit-identical to it.
+    x0 and v0 hold displacements and velocities of shape (..., 2, n), rows
+    (u, U) on the second-to-last axis; every member of the leading axes is
+    stepped with the same dt and params.  Each operation is elementwise and
+    the accelerations depend on x alone, so every member is bit-identical to
+    its lone run, and a run split into two calls equals the unsplit one.
+    Only ``x[member]`` and ``v[member]`` are recorded, at step 0 and every
+    record_every steps; member indexes the leading axes, and the default ()
+    records an unstacked (2, n) run whole.  Returns (times, frames, x, v, t):
+    frames is (4, samples, n) with rows (u, U, du_dt, dU_dt); x (a view of the
+    ghost buffer) and v are the final stack and t the final clock.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 0 or record_every < 1:
-        raise ValueError("need n_steps >= 0 and record_every >= 1")
-    if dt * max_frequency(params) >= 2.0:
-        warnings.warn("time step exceeds the velocity-Verlet stability bound "
-                      "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
-    n = state.n_sites
-    xp = np.empty((2, n + 2))               # columns 0 and n + 1 are ghosts
-    x = xp[:, 1:-1]                         # rows (u, U)
-    x[:] = state.u, state.U
-    v = np.array((state.du_dt, state.dU_dt))
+    n = x0.shape[-1]
+    xp = np.empty(x0.shape[:-1] + (n + 2,))     # columns 0 and n + 1 are ghosts
+    x = xp[..., 1:-1]
+    x[...] = x0
+    v = np.array(v0)
+    ghost_lo, ghost_hi, last, first = xp[..., 0], xp[..., -1], xp[..., n], xp[..., 1]
+    left, right, swapped = xp[..., :-2], xp[..., 2:], x[..., ::-1, :]
     coupling = np.array([[params.I], [params.J]])
     mass = np.array([[params.m], [params.M]])
-    a, a_new, tmp = np.empty((3, 2, n))
+    a, a_new, tmp = np.empty((3,) + x.shape)
     half_dt, half_dt2 = 0.5 * dt, 0.5 * dt**2
 
     def accelerations(out):
-        xp[:, 0], xp[:, -1] = xp[:, n], xp[:, 1]
-        np.add(xp[:, :-2], xp[:, 2:], out=out)
+        np.copyto(ghost_lo, last)
+        np.copyto(ghost_hi, first)
+        np.add(left, right, out=out)
         np.multiply(x, 2, out=tmp)
-        np.subtract(out, tmp, out=out)      # Laplacian
+        np.subtract(out, tmp, out=out)          # Laplacian
         np.multiply(coupling, out, out=out)
-        np.subtract(x[::-1], x, out=tmp)    # (U - u, u - U)
+        np.subtract(swapped, x, out=tmp)        # (U - u, u - U)
         np.multiply(params.K, tmp, out=tmp)
         np.add(tmp, out, out=out)
         np.divide(out, mass, out=out)
 
-    t = state.t
     times = np.empty(n_steps // record_every + 1)
-    rec = np.empty((4, len(times), n))
-    times[0], rec[:2, 0], rec[2:, 0] = t, x, v
+    frames = np.empty((4, len(times), n))
+    x_rec, v_rec = x[member], v[member]
+    times[0], frames[:2, 0], frames[2:, 0] = t, x_rec, v_rec
     accelerations(a)
     for i in range(1, n_steps + 1):
         np.multiply(dt, v, out=tmp)
@@ -168,9 +163,40 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
         t = t + dt
         if i % record_every == 0:
             j = i // record_every
-            times[j], rec[:2, j], rec[2:, j] = t, x, v
-    final = LatticeState(n, x[0].copy(), x[1].copy(), v[0].copy(), v[1].copy(), t)
-    return (times, *rec, final)
+            times[j], frames[:2, j], frames[2:, j] = t, x_rec, v_rec
+    return times, frames, x, v, t
+
+
+def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
+             record_every: int = 1):
+    """Advance n_steps of velocity Verlet, recording a sample every record_every steps.
+
+    The ring is periodic.  Returns (times, u, U, du_dt, dU_dt, final_state)
+    where the arrays have one row per recorded sample (including the initial
+    state); the input state is left unchanged and the final state owns its
+    arrays.
+
+    The kernel ``_verlet`` keeps (u, U) as the interior of one preallocated
+    (..., 2, n_sites + 2) buffer (here (2, n_sites + 2)) whose two ghost
+    columns hold the periodic neighbours, so the Laplacian is a difference of
+    slices, and every update writes in place.  Each operation keeps the order
+    of the written-out form
+    ``lap = (roll(x, 1) + roll(x, -1)) - 2 x``,
+    ``a = (K (x_other - x) + c lap) / mass``,
+    ``x <- (x + dt v) + (dt^2 / 2) a``, ``v <- v + (dt / 2)(a + a_new)``,
+    so the results are bit-identical to it.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 0 or record_every < 1:
+        raise ValueError("need n_steps >= 0 and record_every >= 1")
+    if dt * max_frequency(params) >= 2.0:
+        warnings.warn("time step exceeds the velocity-Verlet stability bound "
+                      "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
+    times, frames, x, v, t = _verlet(np.array((state.u, state.U)), (state.du_dt, state.dU_dt),
+                                     state.t, dt, n_steps, params, record_every)
+    final = LatticeState(state.n_sites, x[0].copy(), x[1].copy(), v[0].copy(), v[1].copy(), t)
+    return (times, *frames, final)
 
 
 def _spectral_peak(times: np.ndarray, signal: np.ndarray) -> float:

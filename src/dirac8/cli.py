@@ -162,6 +162,9 @@ def cmd_chain(args) -> int:
         print(f"chain: {exc}", file=sys.stderr)
         return 1
 
+    # the summary's arithmetic runs before any output, so an overflow in it leaves no file
+    slope = chain_mod.convergence_exponent(params) if min(params.I, params.J) > 0 else None
+    e0, e1 = (chain_mod.total_energy(s, params) for s in (state, final))
     scales = chain_mod.characteristic_scales(params)
     sites = list(map(str, range(args.n)))
     frames = ((([repr(t)] * args.n, sites), sample)
@@ -169,8 +172,6 @@ def cmd_chain(args) -> int:
     head = _header(_NATURAL, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"]
     _write(args.output, _csv(head, frames))
 
-    slope = chain_mod.convergence_exponent(params) if min(params.I, params.J) > 0 else None
-    e0, e1 = (chain_mod.total_energy(s, params) for s in (state, final))
     summary = {
         "mode_index": args.mode, "branch": args.branch, "wavenumber": k,
         "omega_dispersion": omega, "omega_measured": measured,

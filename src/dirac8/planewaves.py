@@ -112,40 +112,17 @@ def spin_flip(solution: PlaneWaveSolution) -> PlaneWaveSolution:
                    amplitudes=solution.amplitudes[perm])
 
 
-def residual(solution: PlaneWaveSolution, sample_points, params: QuantumParams,
-             mode: str = "exact", h: float = 1e-5) -> float:
+def residual(solution: PlaneWaveSolution, sample_points, params: QuantumParams) -> float:
     """Max modulus of the four sector equations evaluated on the solution.
 
-    'exact' applies the plane-wave derivatives analytically
-    (d/dt -> -iE/hbar, d/dz -> i p_z/hbar); 'fd' uses central finite
-    differences of step h as an independent cross-check.
+    The plane-wave derivatives are applied analytically
+    (d/dt -> -iE/hbar, d/dz -> i p_z/hbar).
     """
     H = spin_sector_hamiltonian(solution.p_z, params)
     v = solution.sector_amplitudes
-    if mode == "exact":
-        base = solution.E * v - H @ v
-        return max((float(np.max(np.abs(base * solution.phase(t, z, params))))
-                    for t, z in sample_points), default=0.0)
-    if mode != "fd":
-        raise ValueError(f"unknown residual mode {mode!r}")
-
-    hbar, c = params.hbar, params.c
-    me, mf = params.mu_e, params.mu_f
-    worst = 0.0
-    for (t, z) in sample_points:
-        def fld(tt, zz):
-            return v * solution.phase(tt, zz, params)
-
-        dt = (fld(t + h, z) - fld(t - h, z)) / (2 * h)
-        dz = (fld(t, z + h) - fld(t, z - h)) / (2 * h)
-        f = fld(t, z)
-        r = np.empty(4, dtype=complex)
-        r[0] = 1j * hbar * dt[0] + 1j * hbar * c * dz[1] - me * (f[0] - f[2])
-        r[1] = 1j * hbar * dt[1] + 1j * hbar * c * dz[0] + me * (f[1] - f[3])
-        r[2] = 1j * hbar * dt[2] + 1j * hbar * c * dz[3] - mf * (f[2] - f[0])
-        r[3] = 1j * hbar * dt[3] + 1j * hbar * c * dz[2] + mf * (f[3] - f[1])
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    base = solution.E * v - H @ v
+    return max((float(np.max(np.abs(base * solution.phase(t, z, params))))
+                for t, z in sample_points), default=0.0)
 
 
 def catalog_eight(p_z: float, params: QuantumParams) -> list[PlaneWaveSolution]:

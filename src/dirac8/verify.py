@@ -158,22 +158,26 @@ def _chain_checks(rep: VerificationReport) -> None:
     _add(rep, "chain-continuum convergence order", "long-wave limit",
          abs(slope - 2.0), 0.2, f"fitted slope {slope:.4f}")
 
-    n_sites, mode = 64, 3
+    n_sites, mode, drift_steps = 64, 3, 10_000
     mp = chain.discrete_dispersion(2 * math.pi * mode / (n_sites * cp.a), cp)
     omega = mp.omega_optical
-    state = chain.init_mode(n_sites, mode, 1e-3 * cp.a, "optical", cp)
+    runs = [chain.init_mode(n_sites, mode, 1e-3 * cp.a, b, cp) for b in ("optical", "acoustic")]
     dt = 0.01 / chain.max_frequency(cp)
-    n_steps = int(8 * 2 * math.pi / omega / dt)
-    times, us, *_ = chain.simulate(state, dt, n_steps, cp, record_every=4)
+    n_steps = int(8 * 2 * math.pi / omega / dt)  # 9,832: the optical run is the shorter
+    # Step both runs as one (2, 2, n) stack, recording the optical one, then finish
+    # the acoustic run alone; each equals its lone ``chain.simulate`` run bit for bit.
+    x = np.array([(s.u, s.U) for s in runs])
+    v = np.array([(s.du_dt, s.dU_dt) for s in runs])
+    times, (us, *_), x, v, t = chain._verlet(x, v, 0.0, dt, n_steps, cp, 4, member=0)
     measured = chain.measure_mode_frequency(times, us[:, 0])
     _add(rep, "time-domain mode frequency", "dispersion cross-validation",
          abs(measured - omega) / omega, 1e-4)
 
-    s = chain.init_mode(n_sites, mode, 1e-3 * cp.a, "acoustic", cp)
-    e0 = chain.total_energy(s, cp)
-    *_, s = chain.simulate(s, dt, 10_000, cp, record_every=10_000)
-    drift = abs(chain.total_energy(s, cp) - e0) / e0
-    _add(rep, "symplectic energy drift", "energy conservation", drift, 1e-6,
+    # record_every = drift_steps exceeds the steps left: only the start frame is kept
+    *_, x, v, t = chain._verlet(x[1], v[1], t, dt, drift_steps - n_steps, cp, drift_steps)
+    e0 = chain.total_energy(runs[1], cp)
+    e1 = chain.total_energy(chain.LatticeState(n_sites, *x, *v, t), cp)
+    _add(rep, "symplectic energy drift", "energy conservation", abs(e1 - e0) / e0, 1e-6,
          "10^4 velocity-Verlet steps, acoustic mode")
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dirac8 import chain
+from dirac8 import chain, verify
 from dirac8.params import ChainParams, ParameterError, characteristic_scales
+from dirac8.report import VerificationReport
 
 PARAMS = ChainParams(m=1.0, M=4.0, K=1.0, I=1.0, J=1.0, a=1.0)
 
@@ -237,6 +238,95 @@ def test_simulate_matches_reference_steps():
 def test_simulate_matches_reference_edge_cases(params, n_sites, t0):
     # _random_state starts with nonzero velocities
     _assert_matches_reference(_random_state(n_sites, seed=n_sites, t=t0), params)
+
+
+def _stack(*states):
+    """Positions and velocities of the states as one (len(states), 2, n) stack each."""
+    return (np.array([(s.u, s.U) for s in states]),
+            np.array([(s.du_dt, s.dU_dt) for s in states]))
+
+
+def test_stacked_kernel_matches_lone_runs_and_reference():
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    states = [_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)]
+    dt, n_steps = 0.05, 300
+    x0, v0 = _stack(*states)
+    _, _, x, v, t = chain._verlet(x0, v0, 0.3, dt, n_steps, params, n_steps, member=0)
+    for b, state in enumerate(states):
+        *_, lone = chain.simulate(state, dt, n_steps, params, record_every=n_steps)
+        ref = state
+        for _ in range(n_steps):
+            ref = _reference_step(ref, dt, params)
+        for s in (lone, ref):
+            assert t == s.t
+            assert np.array_equal(x[b], (s.u, s.U)) and np.array_equal(v[b], (s.du_dt, s.dU_dt))
+    # the inputs are left unchanged
+    assert np.array_equal((x0, v0), _stack(*states))
+
+
+def test_stacked_kernel_split_run_equals_unsplit():
+    states = [_random_state(16, seed=3), _random_state(16, seed=4)]
+    dt, m, n_steps = 0.05, 137, 400
+    _, _, x, v, t = chain._verlet(*_stack(*states), 0.0, dt, m, PARAMS, m, member=0)
+    _, _, x, v, t = chain._verlet(x[1], v[1], t, dt, n_steps - m, PARAMS, n_steps)
+    *_, whole = chain.simulate(states[1], dt, n_steps, PARAMS, record_every=n_steps)
+    assert t == whole.t
+    assert np.array_equal(x, (whole.u, whole.U))
+    assert np.array_equal(v, (whole.du_dt, whole.dU_dt))
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_stacked_kernel_records_one_member(member):
+    states = [_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)]
+    dt, n_steps, every = 0.05, 50, 4
+    times, frames, *_ = chain._verlet(*_stack(*states), 1.0, dt, n_steps, PARAMS, every,
+                                      member=member)
+    lone_times, *lone_frames, _ = chain.simulate(states[member], dt, n_steps, PARAMS,
+                                                 record_every=every)
+    assert np.array_equal(times, lone_times)
+    assert frames.shape == (4, n_steps // every + 1, 12)
+    assert np.array_equal(frames, np.array(lone_frames))
+
+
+def test_chain_checks_equal_two_lone_runs():
+    rep = VerificationReport()
+    verify._chain_checks(rep)
+    freq_check, drift_check = rep.checks[-2:]
+
+    # the two runs as separate ``simulate`` calls
+    n_sites, mode = 64, 3
+    omega = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS).omega_optical
+    dt = 0.01 / chain.max_frequency(PARAMS)
+    n_steps = int(8 * 2 * math.pi / omega / dt)
+    state = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
+    times, us, *_ = chain.simulate(state, dt, n_steps, PARAMS, record_every=4)
+    measured = chain.measure_mode_frequency(times, us[:, 0])
+    state = chain.init_mode(n_sites, mode, 1e-3, "acoustic", PARAMS)
+    e0 = chain.total_energy(state, PARAMS)
+    *_, final = chain.simulate(state, dt, 10_000, PARAMS, record_every=10_000)
+
+    assert (n_steps, len(rep.checks)) == (9832, 3)
+    assert freq_check.measured == abs(measured - omega) / omega
+    assert drift_check.measured == abs(chain.total_energy(final, PARAMS) - e0) / e0
+
+
+@pytest.mark.parametrize("branch", ["optical", "acoustic"])
+def test_simulate_matches_exact_verlet_rotation(branch):
+    # A normal mode started at rest: velocity Verlet advances it by an exact
+    # rotation at the modified frequency w~, sin(w~ dt / 2) = w dt / 2 (Hairer,
+    # Lubich & Wanner, Geometric Numerical Integration, ch. I.5), so
+    # x_j = x_0 cos(w~ j dt).  Settings of verify's frequency run.
+    n_sites, mode = 64, 3
+    mp = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS)
+    omega = mp.omega_optical if branch == "optical" else mp.omega_acoustic
+    dt = 0.01 / chain.max_frequency(PARAMS)
+    n_steps = int(8 * 2 * math.pi / mp.omega_optical / dt)
+    omega_verlet = 2 / dt * math.asin(omega * dt / 2)
+    state = chain.init_mode(n_sites, mode, 1e-3, branch, PARAMS)
+    _, us, Us, *_ = chain.simulate(state, dt, n_steps, PARAMS, record_every=4)
+    phase = np.cos(omega_verlet * dt * 4 * np.arange(len(us)))[:, None]
+    err = max(np.abs(us - state.u * phase).max(), np.abs(Us - state.U * phase).max())
+    assert err < 1e-10 * 1e-3
 
 
 def test_simulate_record_every_not_dividing_n_steps():

@@ -326,6 +326,16 @@ def test_bad_arguments_exit_2(argv, capsys):
     assert len(err) == 1 and "Traceback" not in err[0]
 
 
+def test_float_range_error_leaves_no_output_file(tmp_path, capsys):
+    # the summary's energies overflow; the run must fail before writing anything
+    csv, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = main(["chain", "--amplitude", "1e300", "-o", str(csv), "--summary", str(summary)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "out of float range" in err[0]
+    assert not csv.exists() and not summary.exists()
+
+
 # --- the CLI contract over drawn arguments ------------------------------------
 
 _JUNK = st.sampled_from(["", "abc", "1e", "0x10", "1,5", "--", "nan", "inf", "-inf"])
