@@ -2,11 +2,11 @@
 problem solved by ``dispersion.modal_pair``), velocity-Verlet time stepping
 (``simulate``), energy, and mode-frequency measurement.
 
-One kernel, ``_verlet``, does all stepping: it advances a (..., 2, n) stack of
-states (u, U) in place on a preallocated (..., 2, n + 2) buffer, whose two
+A ``LatticeState`` holds the displacements (u, U) and velocities of one ring
+as (2, n) arrays, or of a stack of rings as (..., 2, n) arrays; ``simulate``
+steps either kind in place on a preallocated (..., 2, n + 2) buffer, whose two
 ghost columns give the Laplacian its periodic neighbours instead of
-``np.roll``, bit-identically to the ``np.roll`` form.  ``simulate`` passes it
-one (2, n) state; ``verify`` steps its two chain runs as one stack."""
+``np.roll``, bit-identically to the ``np.roll`` form."""
 
 from __future__ import annotations
 
@@ -24,19 +24,26 @@ CONVERGENCE_KA = (0.2, 0.1, 0.05, 0.025)  # the k a of ``convergence_exponent``'
 
 @dataclass
 class LatticeState:
-    """Displacements and velocities of both mass species on a ring of n sites."""
+    """Displacements x and velocities v of both mass species on a ring of n sites.
 
-    n_sites: int
-    u: np.ndarray       # small-mass displacements
-    U: np.ndarray       # large-mass displacements
-    du_dt: np.ndarray
-    dU_dt: np.ndarray
+    x and v have shape (..., 2, n): rows (u, U) and (du_dt, dU_dt) on the
+    second-to-last axis, and any leading axes stack independent rings.
+    ``u``, ``U``, ``du_dt`` and ``dU_dt`` are views of those rows.
+    """
+
+    x: np.ndarray
+    v: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        for arr in (self.u, self.U, self.du_dt, self.dU_dt):
-            if arr.shape != (self.n_sites,):
-                raise ValueError("all state arrays must have length n_sites")
+        if self.x.shape != self.v.shape or self.x.shape[-2:-1] != (2,):
+            raise ValueError("x and v must have the same shape (..., 2, n_sites)")
+
+    n_sites = property(lambda self: self.x.shape[-1])
+    u = property(lambda self: self.x[..., 0, :])      # small-mass displacements
+    U = property(lambda self: self.x[..., 1, :])      # large-mass displacements
+    du_dt = property(lambda self: self.v[..., 0, :])
+    dU_dt = property(lambda self: self.v[..., 1, :])
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ def init_mode(n_sites: int, mode_index: int, amplitude: float, branch: str,
 
     The (u, U) ratio follows the dispersion eigenvector at
     k = 2 pi mode_index / (n_sites a); velocities start at zero, so the state
-    oscillates harmonically at the mode frequency.
+    oscillates harmonically at the mode frequency.  Returns one (2, n_sites) ring.
     """
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
@@ -88,44 +95,55 @@ def init_mode(n_sites: int, mode_index: int, amplitude: float, branch: str,
     vec = mp.eigvec_acoustic if branch == "acoustic" else mp.eigvec_optical
     scale = amplitude / np.abs(vec).max()
     profile = np.cos(k * params.a * np.arange(n_sites))
-    return LatticeState(
-        n_sites=n_sites,
-        u=scale * vec[0] * profile,
-        U=scale * vec[1] * profile,
-        du_dt=np.zeros(n_sites),
-        dU_dt=np.zeros(n_sites),
-    )
+    x = scale * vec[:, None] * profile
+    return LatticeState(x, np.zeros_like(x))
 
 
 def total_energy(state: LatticeState, params: ChainParams) -> float:
-    """Kinetic plus spring potential energy, with periodic indexing."""
+    """Kinetic plus spring potential energy, with periodic indexing; a stack's total."""
     kin = 0.5 * params.m * np.sum(state.du_dt**2) + 0.5 * params.M * np.sum(state.dU_dt**2)
     pot = 0.5 * params.K * np.sum((state.U - state.u) ** 2)
-    pot += 0.5 * params.I * np.sum((np.roll(state.u, -1) - state.u) ** 2)
-    pot += 0.5 * params.J * np.sum((np.roll(state.U, -1) - state.U) ** 2)
+    pot += 0.5 * params.I * np.sum((np.roll(state.u, -1, axis=-1) - state.u) ** 2)
+    pot += 0.5 * params.J * np.sum((np.roll(state.U, -1, axis=-1) - state.U) ** 2)
     return float(kin + pot)
 
 
-def _verlet(x0, v0, t, dt: float, n_steps: int, params: ChainParams, record_every: int,
-            member=()):
-    """Advance a stack of rings by n_steps of velocity Verlet; the inputs are left unchanged.
+def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
+             record_every: int = 1, member=()):
+    """Advance n_steps of velocity Verlet, recording a sample every record_every steps.
 
-    x0 and v0 hold displacements and velocities of shape (..., 2, n), rows
-    (u, U) on the second-to-last axis; every member of the leading axes is
-    stepped with the same dt and params.  Each operation is elementwise and
-    the accelerations depend on x alone, so every member is bit-identical to
-    its lone run, and a run split into two calls equals the unsplit one.
-    Only ``x[member]`` and ``v[member]`` are recorded, at step 0 and every
-    record_every steps; member indexes the leading axes, and the default ()
-    records an unstacked (2, n) run whole.  Returns (times, frames, x, v, t):
-    frames is (4, samples, n) with rows (u, U, du_dt, dU_dt); x (a view of the
-    ghost buffer) and v are the final stack and t the final clock.
+    The ring is periodic.  Returns (times, u, U, du_dt, dU_dt, final_state)
+    where the arrays have one row per recorded sample (including the initial
+    state); the input state is left unchanged and the final state owns its
+    arrays.  A stacked state steps every ring with the same dt and params;
+    only ``x[member]`` and ``v[member]`` are recorded, where member is a
+    basic index (ints and slices) into the leading axes and the default ()
+    records the whole state.  Each
+    operation is elementwise and the accelerations depend on x alone, so
+    every ring of a stack is bit-identical to its lone run, and a run split
+    into two calls equals the unsplit one.
+
+    (u, U) is the interior of one preallocated (..., 2, n_sites + 2) buffer
+    whose two ghost columns hold the periodic neighbours, so the Laplacian is
+    a difference of slices, and every update writes in place.  Each
+    operation keeps the order of the written-out form
+    ``lap = (roll(x, 1) + roll(x, -1)) - 2 x``,
+    ``a = (K (x_other - x) + c lap) / mass``,
+    ``x <- (x + dt v) + (dt^2 / 2) a``, ``v <- v + (dt / 2)(a + a_new)``,
+    so the results are bit-identical to it.
     """
-    n = x0.shape[-1]
-    xp = np.empty(x0.shape[:-1] + (n + 2,))     # columns 0 and n + 1 are ghosts
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 0 or record_every < 1:
+        raise ValueError("need n_steps >= 0 and record_every >= 1")
+    if dt * max_frequency(params) >= 2.0:
+        warnings.warn("time step exceeds the velocity-Verlet stability bound "
+                      "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
+    n, t = state.n_sites, state.t
+    xp = np.empty(state.x.shape[:-1] + (n + 2,))  # columns 0 and n + 1 are ghosts
     x = xp[..., 1:-1]
-    x[...] = x0
-    v = np.array(v0)
+    x[...] = state.x
+    v = np.array(state.v)
     ghost_lo, ghost_hi, last, first = xp[..., 0], xp[..., -1], xp[..., n], xp[..., 1]
     left, right, swapped = xp[..., :-2], xp[..., 2:], x[..., ::-1, :]
     coupling = np.array([[params.I], [params.J]])
@@ -146,9 +164,12 @@ def _verlet(x0, v0, t, dt: float, n_steps: int, params: ChainParams, record_ever
         np.divide(out, mass, out=out)
 
     times = np.empty(n_steps // record_every + 1)
-    frames = np.empty((4, len(times), n))
     x_rec, v_rec = x[member], v[member]
-    times[0], frames[:2, 0], frames[2:, 0] = t, x_rec, v_rec
+    # a copy (advanced indexing) would record step 0 for ever; a row would be no state
+    if x_rec.shape[-2:] != x.shape[-2:] or not np.may_share_memory(x_rec, x):
+        raise ValueError("member must be a basic index into the leading axes")
+    xs, vs = np.empty((2, len(times)) + x_rec.shape)
+    times[0], xs[0], vs[0] = t, x_rec, v_rec
     accelerations(a)
     for i in range(1, n_steps + 1):
         np.multiply(dt, v, out=tmp)
@@ -163,40 +184,9 @@ def _verlet(x0, v0, t, dt: float, n_steps: int, params: ChainParams, record_ever
         t = t + dt
         if i % record_every == 0:
             j = i // record_every
-            times[j], frames[:2, j], frames[2:, j] = t, x_rec, v_rec
-    return times, frames, x, v, t
-
-
-def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
-             record_every: int = 1):
-    """Advance n_steps of velocity Verlet, recording a sample every record_every steps.
-
-    The ring is periodic.  Returns (times, u, U, du_dt, dU_dt, final_state)
-    where the arrays have one row per recorded sample (including the initial
-    state); the input state is left unchanged and the final state owns its
-    arrays.
-
-    The kernel ``_verlet`` keeps (u, U) as the interior of one preallocated
-    (..., 2, n_sites + 2) buffer (here (2, n_sites + 2)) whose two ghost
-    columns hold the periodic neighbours, so the Laplacian is a difference of
-    slices, and every update writes in place.  Each operation keeps the order
-    of the written-out form
-    ``lap = (roll(x, 1) + roll(x, -1)) - 2 x``,
-    ``a = (K (x_other - x) + c lap) / mass``,
-    ``x <- (x + dt v) + (dt^2 / 2) a``, ``v <- v + (dt / 2)(a + a_new)``,
-    so the results are bit-identical to it.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 0 or record_every < 1:
-        raise ValueError("need n_steps >= 0 and record_every >= 1")
-    if dt * max_frequency(params) >= 2.0:
-        warnings.warn("time step exceeds the velocity-Verlet stability bound "
-                      "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
-    times, frames, x, v, t = _verlet(np.array((state.u, state.U)), (state.du_dt, state.dU_dt),
-                                     state.t, dt, n_steps, params, record_every)
-    final = LatticeState(state.n_sites, x[0].copy(), x[1].copy(), v[0].copy(), v[1].copy(), t)
-    return (times, *frames, final)
+            times[j], xs[j], vs[j] = t, x_rec, v_rec
+    rec = LatticeState(xs, vs)  # the samples, as a stack of states
+    return times, rec.u, rec.U, rec.du_dt, rec.dU_dt, LatticeState(x.copy(), v, t)
 
 
 def _spectral_peak(times: np.ndarray, signal: np.ndarray) -> float:

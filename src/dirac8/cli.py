@@ -49,7 +49,7 @@ _nonnegative_float = _bounded(float, 0.0)
 
 
 class _UsageError(Exception):
-    """A subcommand's arguments are unusable; ``main`` reports it and returns 2."""
+    """The arguments are unusable; ``main`` reports it on one line and returns 2."""
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -249,7 +249,7 @@ def cmd_evolve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _SubcommandParser(
         prog="dirac8",
         description="Coupled-branch relativistic wave toolkit: dispersion tables, "
                     "plane-wave catalogs, chain simulation, packet evolution, and "

@@ -166,17 +166,17 @@ def _chain_checks(rep: VerificationReport) -> None:
     n_steps = int(8 * 2 * math.pi / omega / dt)  # 9,832: the optical run is the shorter
     # Step both runs as one (2, 2, n) stack, recording the optical one, then finish
     # the acoustic run alone; each equals its lone ``chain.simulate`` run bit for bit.
-    x = np.array([(s.u, s.U) for s in runs])
-    v = np.array([(s.du_dt, s.dU_dt) for s in runs])
-    times, (us, *_), x, v, t = chain._verlet(x, v, 0.0, dt, n_steps, cp, 4, member=0)
+    both = chain.LatticeState(np.array([s.x for s in runs]), np.array([s.v for s in runs]))
+    times, us, *_, both = chain.simulate(both, dt, n_steps, cp, record_every=4, member=0)
     measured = chain.measure_mode_frequency(times, us[:, 0])
     _add(rep, "time-domain mode frequency", "dispersion cross-validation",
          abs(measured - omega) / omega, 1e-4)
 
     # record_every = drift_steps exceeds the steps left: only the start frame is kept
-    *_, x, v, t = chain._verlet(x[1], v[1], t, dt, drift_steps - n_steps, cp, drift_steps)
-    e0 = chain.total_energy(runs[1], cp)
-    e1 = chain.total_energy(chain.LatticeState(n_sites, *x, *v, t), cp)
+    acoustic = chain.LatticeState(both.x[1], both.v[1], both.t)
+    *_, final = chain.simulate(acoustic, dt, drift_steps - n_steps, cp,
+                               record_every=drift_steps)
+    e0, e1 = (chain.total_energy(s, cp) for s in (runs[1], final))
     _add(rep, "symplectic energy drift", "energy conservation", abs(e1 - e0) / e0, 1e-6,
          "10^4 velocity-Verlet steps, acoustic mode")
 

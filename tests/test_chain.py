@@ -24,7 +24,7 @@ def _reference_step(state, dt, params):
     a_u2, a_U2 = accelerations(u, U)
     du = state.du_dt + 0.5 * dt * (a_u + a_u2)
     dU = state.dU_dt + 0.5 * dt * (a_U + a_U2)
-    return chain.LatticeState(state.n_sites, u, U, du, dU, state.t + dt)
+    return chain.LatticeState(np.array((u, U)), np.array((du, dU)), state.t + dt)
 
 
 def _reference_discrete_dispersion(k, params):
@@ -60,8 +60,13 @@ def _reference_discrete_dispersion(k, params):
 
 
 def _random_state(n_sites, seed=0, t=0.0):
-    u, U, du, dU = 1e-3 * np.random.default_rng(seed).standard_normal((4, n_sites))
-    return chain.LatticeState(n_sites, u, U, du, dU, t)
+    x, v = 1e-3 * np.random.default_rng(seed).standard_normal((2, 2, n_sites))
+    return chain.LatticeState(x, v, t)
+
+
+def _stack(*states, t=0.0):
+    return chain.LatticeState(np.array([s.x for s in states]),
+                              np.array([s.v for s in states]), t)
 
 
 def test_characteristic_scales():
@@ -159,9 +164,27 @@ def test_init_mode_invalid_index():
         chain.init_mode(64, 64, 1e-3, "acoustic", PARAMS)
 
 
+def test_lattice_state_validates_shapes():
+    for x, v in [(np.zeros((2, 8)), np.zeros((2, 7))),      # mismatched
+                 (np.zeros((3, 8)), np.zeros((3, 8))),      # three rows
+                 (np.zeros(8), np.zeros(8)),                # one-dimensional
+                 (np.zeros((2, 2, 8)), np.zeros((2, 8)))]:  # stack against one ring
+        with pytest.raises(ValueError):
+            chain.LatticeState(x, v)
+    for shape in [(2, 8), (3, 2, 8)]:
+        x, v = np.arange(2 * np.prod(shape), dtype=float).reshape((2,) + shape)
+        state = chain.LatticeState(x, v)
+        assert state.n_sites == 8 and state.t == 0.0
+        rows = (state.u, state.U, state.du_dt, state.dU_dt)
+        for row, whole, i in zip(rows, (x, x, v, v), (0, 1, 0, 1)):
+            assert row.shape == shape[:-2] + (8,)
+            assert np.shares_memory(row, whole) and np.array_equal(row, whole[..., i, :])
+        with pytest.raises(AttributeError):
+            state.u = np.zeros(8)
+
+
 def test_step_equilibrium_fixed_point():
-    z = np.zeros(16)
-    state = chain.LatticeState(16, z.copy(), z.copy(), z.copy(), z.copy())
+    state = chain.LatticeState(np.zeros((2, 16)), np.zeros((2, 16)))
     *_, out = chain.simulate(state, 0.01, 1, PARAMS)
     assert np.allclose(out.u, 0) and np.allclose(out.dU_dt, 0)
 
@@ -185,12 +208,19 @@ def test_mode_returns_after_period():
 
 
 def test_total_energy_examples():
-    z = np.zeros(8)
-    state = chain.LatticeState(8, z.copy(), z.copy(), z.copy(), z.copy())
+    z = np.zeros((2, 8))
+    state = chain.LatticeState(z, z.copy())
     assert chain.total_energy(state, PARAMS) == 0.0
-    v = np.full(8, 0.3)
-    state = chain.LatticeState(8, z.copy(), z.copy(), v.copy(), z.copy())
+    state = chain.LatticeState(z, np.array([np.full(8, 0.3), np.zeros(8)]))
     assert chain.total_energy(state, PARAMS) == pytest.approx(0.5 * 8 * 1.0 * 0.3**2)
+
+
+def test_total_energy_of_a_stack_is_the_sum_of_its_rings():
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    rings = [chain.LatticeState(*np.random.default_rng(seed).standard_normal((2, 2, 16)))
+             for seed in (7, 8)]
+    lone = sum(chain.total_energy(s, params) for s in rings)
+    assert chain.total_energy(_stack(*rings), params) == pytest.approx(lone, rel=1e-14)
 
 
 def test_energy_drift_symplectic():
@@ -213,14 +243,12 @@ def _assert_matches_reference(state, params, dt=0.05, n_steps=1200, every=7):
     for got, want in zip((times, us, Us, dus, dUs), zip(*expected)):
         assert np.array_equal(got, np.array(want))
     assert final.t == s.t and final.n_sites == s.n_sites
-    finals = (final.u, final.U, final.du_dt, final.dU_dt)
-    for got, want in zip(finals, (s.u, s.U, s.du_dt, s.dU_dt)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(final.x, s.x) and np.array_equal(final.v, s.v)
     # the final state owns its arrays: no views into the kernel's buffers or the records
-    assert all(arr.flags.owndata for arr in finals)
-    for i, arr in enumerate(finals):
-        others = finals[:i] + finals[i + 1:] + (us, Us, dus, dUs)
-        assert not any(np.shares_memory(arr, other) for other in others)
+    assert final.x.flags.owndata and final.v.flags.owndata
+    assert not np.shares_memory(final.x, final.v)
+    assert not any(np.shares_memory(arr, rec) for arr in (final.x, final.v)
+                   for rec in (us, Us, dus, dUs))
 
 
 def test_simulate_matches_reference_steps():
@@ -240,52 +268,47 @@ def test_simulate_matches_reference_edge_cases(params, n_sites, t0):
     _assert_matches_reference(_random_state(n_sites, seed=n_sites, t=t0), params)
 
 
-def _stack(*states):
-    """Positions and velocities of the states as one (len(states), 2, n) stack each."""
-    return (np.array([(s.u, s.U) for s in states]),
-            np.array([(s.du_dt, s.dU_dt) for s in states]))
-
-
 def test_stacked_kernel_matches_lone_runs_and_reference():
     params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
     states = [_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)]
     dt, n_steps = 0.05, 300
-    x0, v0 = _stack(*states)
-    _, _, x, v, t = chain._verlet(x0, v0, 0.3, dt, n_steps, params, n_steps, member=0)
+    stack = _stack(*states, t=0.3)
+    *_, out = chain.simulate(stack, dt, n_steps, params, record_every=n_steps, member=0)
     for b, state in enumerate(states):
         *_, lone = chain.simulate(state, dt, n_steps, params, record_every=n_steps)
         ref = state
         for _ in range(n_steps):
             ref = _reference_step(ref, dt, params)
         for s in (lone, ref):
-            assert t == s.t
-            assert np.array_equal(x[b], (s.u, s.U)) and np.array_equal(v[b], (s.du_dt, s.dU_dt))
-    # the inputs are left unchanged
-    assert np.array_equal((x0, v0), _stack(*states))
+            assert out.t == s.t
+            assert np.array_equal(out.x[b], s.x) and np.array_equal(out.v[b], s.v)
+    # the input is left unchanged
+    again = _stack(*states, t=0.3)
+    assert np.array_equal(stack.x, again.x) and np.array_equal(stack.v, again.v)
 
 
 def test_stacked_kernel_split_run_equals_unsplit():
     states = [_random_state(16, seed=3), _random_state(16, seed=4)]
     dt, m, n_steps = 0.05, 137, 400
-    _, _, x, v, t = chain._verlet(*_stack(*states), 0.0, dt, m, PARAMS, m, member=0)
-    _, _, x, v, t = chain._verlet(x[1], v[1], t, dt, n_steps - m, PARAMS, n_steps)
+    *_, both = chain.simulate(_stack(*states), dt, m, PARAMS, record_every=m, member=0)
+    rest = chain.LatticeState(both.x[1], both.v[1], both.t)
+    *_, split = chain.simulate(rest, dt, n_steps - m, PARAMS, record_every=n_steps)
     *_, whole = chain.simulate(states[1], dt, n_steps, PARAMS, record_every=n_steps)
-    assert t == whole.t
-    assert np.array_equal(x, (whole.u, whole.U))
-    assert np.array_equal(v, (whole.du_dt, whole.dU_dt))
+    assert split.t == whole.t
+    assert np.array_equal(split.x, whole.x) and np.array_equal(split.v, whole.v)
 
 
 @pytest.mark.parametrize("member", [0, 1])
 def test_stacked_kernel_records_one_member(member):
     states = [_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)]
     dt, n_steps, every = 0.05, 50, 4
-    times, frames, *_ = chain._verlet(*_stack(*states), 1.0, dt, n_steps, PARAMS, every,
-                                      member=member)
+    times, *frames, _ = chain.simulate(_stack(*states, t=1.0), dt, n_steps, PARAMS,
+                                       record_every=every, member=member)
     lone_times, *lone_frames, _ = chain.simulate(states[member], dt, n_steps, PARAMS,
                                                  record_every=every)
     assert np.array_equal(times, lone_times)
-    assert frames.shape == (4, n_steps // every + 1, 12)
-    assert np.array_equal(frames, np.array(lone_frames))
+    assert all(f.shape == (n_steps // every + 1, 12) for f in frames)
+    assert np.array_equal(frames, lone_frames)
 
 
 def test_chain_checks_equal_two_lone_runs():
@@ -355,6 +378,11 @@ def test_simulate_rejects_bad_arguments():
         chain.simulate(state, 0.05, 10, PARAMS, record_every=0)
     with pytest.raises(ValueError):
         chain.simulate(state, 0.0, 10, PARAMS)
+    # member indexes the leading axes of a stack, and by view, not by copy
+    stack = _stack(state, state)
+    for bad, member in ((state, 0), (stack, [0]), (stack, np.array([True, False]))):
+        with pytest.raises(ValueError):
+            chain.simulate(bad, 0.05, 10, PARAMS, member=member)
 
 
 def test_measure_mode_frequency_single_mode():

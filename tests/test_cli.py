@@ -59,10 +59,11 @@ def test_dispersion_usage_error():
     assert main(["dispersion", "--pmax", "-1"]) == 2
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_2(capsys):
+    for argv in ([], ["no-such-command"], ["--bogus"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dirac8: error: ") and err.count("\n") == 1
 
 
 def test_verify_fast_passes(tmp_path, capsys):
