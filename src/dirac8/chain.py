@@ -1,12 +1,14 @@
 """Discrete mass-in-mass chain on a periodic ring: exact dispersion (the 2x2
-problem solved by ``dispersion.modal_pair``), velocity-Verlet time stepping
-(``simulate``), energy, and mode-frequency measurement.
+problem solved by ``dispersion.modal_pair``), velocity Verlet in closed form
+(``simulate``, ``verlet_frequency``, ``modified_energy``), energy, and
+mode-frequency measurement.
 
 A ``LatticeState`` holds the displacements (u, U) and velocities of one ring
-as (2, n) arrays, or of a stack of rings as (..., 2, n) arrays; ``simulate``
-steps either kind in place on a preallocated (..., 2, n + 2) buffer, whose two
-ghost columns give the Laplacian its periodic neighbours instead of
-``np.roll``, bit-identically to the ``np.roll`` form."""
+as (2, n) arrays, or of a stack of rings as (..., 2, n) arrays.  The ring is
+linear and periodic, so ``simulate`` steps neither kind: it evaluates the
+n-step Verlet map of each Fourier mode at the recorded steps, at a cost set by
+the number of samples.  The step-by-step loop is ``verify.verlet_steps``, the
+independent check of that map."""
 
 from __future__ import annotations
 
@@ -108,29 +110,101 @@ def total_energy(state: LatticeState, params: ChainParams) -> float:
     return float(kin + pot)
 
 
+def verlet_frequency(omega, dt):
+    """Modified frequency w~ of velocity Verlet: sin(w~ dt / 2) = omega dt / 2.
+
+    Verlet turns a harmonic mode of frequency omega by the angle w~ dt per step
+    (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, ch. I.5).  It
+    is real for omega dt <= 2; a complex omega continues it past that bound,
+    to pi + i phi, where the iterates grow by cosh and sinh of n phi.
+    """
+    return 2 / dt * np.arcsin(omega * dt / 2)
+
+
+def modified_energy(state: LatticeState, dt: float, params: ChainParams) -> float:
+    """E - (dt^2 / 8) sum F^2 / mass, which velocity Verlet conserves exactly on the ring.
+
+    F is the spring force on each mass (Hairer, Lubich & Wanner, ch. IX); a
+    stack's total, as for ``total_energy``.
+    """
+    x = state.x
+    lap = np.roll(x, 1, axis=-1) + np.roll(x, -1, axis=-1) - 2 * x
+    force = params.K * (x[..., ::-1, :] - x) + np.array([[params.I], [params.J]]) * lap
+    mass = np.array([[params.m], [params.M]])
+    return total_energy(state, params) - dt**2 / 8 * float(np.sum(force**2 / mass))
+
+
+_CHUNK = 16          # samples evaluated at once: bounds the closed form's scratch memory
+_CLOCK_BLOCK = 4096  # steps whose clock ticks ``_clock`` sums at once
+
+
+def _clock(t: float, dt: float, n_steps: int, record_every: int):
+    """The recorded times and the end time, summed one step at a time as t = t + dt.
+
+    ``np.add.accumulate`` adds in order, so every time equals the running sum
+    bit for bit.  It runs over blocks of steps, carrying the sum from block to
+    block, so memory stays O(samples) however many steps the run takes.
+    """
+    times = np.empty(n_steps // record_every + 1)
+    times[0] = t
+    block = np.full(_CLOCK_BLOCK + 1, float(dt))
+    for start in range(0, n_steps, _CLOCK_BLOCK):
+        block[0] = t
+        run = np.add.accumulate(block[:min(_CLOCK_BLOCK, n_steps - start) + 1])
+        j = np.arange(start // record_every + 1, (start + len(run) - 1) // record_every + 1)
+        times[j] = run[j * record_every - start]  # run[i]: the time after start + i steps
+        t = run[-1]
+    return times, float(t)
+
+
+def _verlet_power(theta, dt: float, steps):
+    """cos(n theta), dt S_n and sin(n theta) sin(theta) / dt, S_n = sin(n theta) / sin(theta).
+
+    For each n in steps, shaped (len(steps),) + theta.shape: the entries of
+    n velocity-Verlet steps of one mode turning by theta per step,
+    M^n = cos(n theta) I + S_n (M - cos(theta) I) on (x, v), whose
+    off-diagonal entries are dt and -sin(theta)^2 / dt.  sin(theta) vanishes at
+    theta = 0 (omega = 0) and at theta = pi (omega dt = 2).  Each is the centre
+    of one half of [0, pi]: about it, at the angle beta = theta or pi - theta,
+    S_n = +-n sinc(n beta) / sinc(beta), whose denominator has no zero on that
+    half and takes the limit n at beta = 0.  Past the stability bound
+    theta = pi + i phi, beta is imaginary and the same formulas grow as
+    cosh and sinh of n phi.
+    """
+    n = np.asarray(steps, dtype=float).reshape((-1,) + (1,) * np.ndim(theta))
+    flip = theta.real > math.pi / 2
+    beta = np.where(flip, math.pi - theta, theta)
+    sign = np.where(flip, -1.0, 1.0)  # (-1)^n cos(n beta) = cos(n theta) on the flipped half
+    sign_n = sign**n
+    cos_n = sign_n * np.cos(n * beta)
+    s_n = sign_n * sign * n * np.sinc(n * beta / math.pi) / np.sinc(beta / math.pi)
+    r_n = sign_n * sign * np.sin(n * beta) * np.sin(beta)
+    return cos_n.real, dt * s_n.real, r_n.real / dt
+
+
 def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
              record_every: int = 1, member=()):
-    """Advance n_steps of velocity Verlet, recording a sample every record_every steps.
+    """The states after n_steps of velocity Verlet, sampled every record_every steps.
 
     The ring is periodic.  Returns (times, u, U, du_dt, dU_dt, final_state)
     where the arrays have one row per recorded sample (including the initial
-    state); the input state is left unchanged and the final state owns its
-    arrays.  A stacked state steps every ring with the same dt and params;
+    state); the input state is left unchanged and the final state shares no
+    memory with it or with the samples.  A stacked state runs every ring with the same dt and params;
     only ``x[member]`` and ``v[member]`` are recorded, where member is a
     basic index (ints and slices) into the leading axes and the default ()
-    records the whole state.  Each
-    operation is elementwise and the accelerations depend on x alone, so
-    every ring of a stack is bit-identical to its lone run, and a run split
-    into two calls equals the unsplit one.
+    records the whole state.
 
-    (u, U) is the interior of one preallocated (..., 2, n_sites + 2) buffer
-    whose two ghost columns hold the periodic neighbours, so the Laplacian is
-    a difference of slices, and every update writes in place.  Each
-    operation keeps the order of the written-out form
-    ``lap = (roll(x, 1) + roll(x, -1)) - 2 x``,
-    ``a = (K (x_other - x) + c lap) / mass``,
-    ``x <- (x + dt v) + (dt^2 / 2) a``, ``v <- v + (dt / 2)(a + a_new)``,
-    so the results are bit-identical to it.
+    Nothing is stepped.  Verlet turns each Fourier mode of each branch of
+    ``discrete_dispersion`` by theta = dt ``verlet_frequency`` per step, so a
+    sample is the n-step map applied to the start state: an ``rfft`` over
+    the sites, the branch eigenvectors' closed-form 2x2 inverse,
+    x_n = cos(n theta) x_0 + dt S_n v_0 and
+    v_n = cos(n theta) v_0 - (sin(n theta) sin(theta) / dt) x_0 per mode
+    (``_verlet_power``), the eigenvectors and an ``irfft`` back, ``_CHUNK``
+    samples at a time.  The cost follows the samples, not the steps; the
+    states agree with stepping (``verify.verlet_steps``) to rounding error,
+    and the times, summed step by step, bit for bit.  Past the stability
+    bound the map grows, as the stepped iterates do.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -139,54 +213,39 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
     if dt * max_frequency(params) >= 2.0:
         warnings.warn("time step exceeds the velocity-Verlet stability bound "
                       "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
-    n, t = state.n_sites, state.t
-    xp = np.empty(state.x.shape[:-1] + (n + 2,))  # columns 0 and n + 1 are ghosts
-    x = xp[..., 1:-1]
-    x[...] = state.x
-    v = np.array(state.v)
-    ghost_lo, ghost_hi, last, first = xp[..., 0], xp[..., -1], xp[..., n], xp[..., 1]
-    left, right, swapped = xp[..., :-2], xp[..., 2:], x[..., ::-1, :]
-    coupling = np.array([[params.I], [params.J]])
-    mass = np.array([[params.m], [params.M]])
-    a, a_new, tmp = np.empty((3,) + x.shape)
-    half_dt, half_dt2 = 0.5 * dt, 0.5 * dt**2
-
-    def accelerations(out):
-        np.copyto(ghost_lo, last)
-        np.copyto(ghost_hi, first)
-        np.add(left, right, out=out)
-        np.multiply(x, 2, out=tmp)
-        np.subtract(out, tmp, out=out)          # Laplacian
-        np.multiply(coupling, out, out=out)
-        np.subtract(swapped, x, out=tmp)        # (U - u, u - U)
-        np.multiply(params.K, tmp, out=tmp)
-        np.add(tmp, out, out=out)
-        np.divide(out, mass, out=out)
-
-    times = np.empty(n_steps // record_every + 1)
-    x_rec, v_rec = x[member], v[member]
-    # a copy (advanced indexing) would record step 0 for ever; a row would be no state
-    if x_rec.shape[-2:] != x.shape[-2:] or not np.may_share_memory(x_rec, x):
+    x_rec, v_rec = state.x[member], state.v[member]
+    # a copy (advanced indexing) would not be the recorded ring; a row would be no state
+    if x_rec.shape[-2:] != state.x.shape[-2:] or not np.may_share_memory(x_rec, state.x):
         raise ValueError("member must be a basic index into the leading axes")
+    n = state.n_sites
+    mp = discrete_dispersion(2 * math.pi * np.fft.rfftfreq(n, params.a), params)
+    theta = dt * verlet_frequency(np.stack([mp.omega_acoustic, mp.omega_optical]) + 0j, dt)
+    if not theta.imag.any():  # every mode within the stability bound: real arithmetic
+        theta = theta.real
+    vec = np.stack([mp.eigvec_acoustic.T, mp.eigvec_optical.T], axis=1)  # [species, branch, k]
+    (a0, o0), (a1, o1) = vec
+    inv = np.array([[o1, -o0], [-a1, a0]]) / (a0 * o1 - o0 * a1)     # [branch, species, k]
+
+    def modal(y):  # [..., species, site] -> [..., branch, k]
+        return (inv * np.fft.rfft(y)[..., None, :, :]).sum(axis=-2)
+
+    def advance(q, p, steps):  # the states after each of steps, on a new first axis
+        lead = (1,) * (q.ndim - 2)
+        c, s, r = (f.reshape(f.shape[:1] + lead + f.shape[1:])
+                   for f in _verlet_power(theta, dt, steps))
+        return [np.fft.irfft((vec * y[..., None, :, :]).sum(axis=-2), n)
+                for y in (c * q + s * p, c * p - r * q)]
+
+    times, t = _clock(state.t, dt, n_steps, record_every)
     xs, vs = np.empty((2, len(times)) + x_rec.shape)
-    times[0], xs[0], vs[0] = t, x_rec, v_rec
-    accelerations(a)
-    for i in range(1, n_steps + 1):
-        np.multiply(dt, v, out=tmp)
-        np.add(x, tmp, out=x)
-        np.multiply(half_dt2, a, out=tmp)
-        np.add(x, tmp, out=x)
-        accelerations(a_new)
-        np.add(a, a_new, out=tmp)
-        np.multiply(half_dt, tmp, out=tmp)
-        np.add(v, tmp, out=v)
-        a, a_new = a_new, a
-        t = t + dt
-        if i % record_every == 0:
-            j = i // record_every
-            times[j], xs[j], vs[j] = t, x_rec, v_rec
+    xs[0], vs[0] = x_rec, v_rec
+    q, p = modal(x_rec), modal(v_rec)
+    for j in range(1, len(times), _CHUNK):
+        k = min(j + _CHUNK, len(times))
+        xs[j:k], vs[j:k] = advance(q, p, record_every * np.arange(j, k))
+    x, v = (y[0] for y in advance(modal(state.x), modal(state.v), [n_steps]))
     rec = LatticeState(xs, vs)  # the samples, as a stack of states
-    return times, rec.u, rec.U, rec.du_dt, rec.dU_dt, LatticeState(x.copy(), v, t)
+    return times, rec.u, rec.U, rec.du_dt, rec.dU_dt, LatticeState(x, v, t)
 
 
 def _spectral_peak(times: np.ndarray, signal: np.ndarray) -> float:
@@ -209,15 +268,19 @@ def measure_mode_frequency(times: np.ndarray, signal: np.ndarray) -> float:
 
     Uses averaged zero-crossing spacing for a monochromatic signal; falls back
     to the interpolated spectral peak when the crossing spacings are uneven
-    (e.g. superposed modes).  Raises if the trajectory shows no oscillation or
-    spans fewer than ~3 periods.
+    (e.g. superposed modes).  Raises if the trajectory shows no oscillation,
+    is subnormal (too few significant bits to time) or spans fewer than ~3
+    periods.  A crossing is a change of side of 0, where +0 and -0 are the
+    same side, so no crossing interpolates 0 / 0.
     """
     sig = np.asarray(signal, dtype=float)
     sig = sig - sig.mean()
     amp = np.abs(sig).max()
     if amp == 0 or not np.isfinite(amp):
         raise ValueError("trajectory shows no oscillation")
-    idx = np.nonzero(np.diff(np.signbit(sig)))[0]
+    if amp < np.finfo(float).tiny:
+        raise ValueError("trajectory underflows: its displacements are subnormal")
+    idx = np.nonzero(np.diff(sig < 0))[0]
     if len(idx) < 6:
         raise ValueError("trajectory too short: need at least 3 oscillation periods")
     # linear-interpolated crossing times

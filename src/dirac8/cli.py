@@ -165,6 +165,8 @@ def cmd_chain(args) -> int:
     # the summary's arithmetic runs before any output, so an overflow in it leaves no file
     slope = chain_mod.convergence_exponent(params) if min(params.I, params.J) > 0 else None
     e0, e1 = (chain_mod.total_energy(s, params) for s in (state, final))
+    h0, h1 = (chain_mod.modified_energy(s, dt, params) for s in (state, final))
+    omega_verlet = float(chain_mod.verlet_frequency(omega, dt))
     scales = chain_mod.characteristic_scales(params)
     sites = list(map(str, range(args.n)))
     frames = ((([repr(t)] * args.n, sites), sample)
@@ -180,6 +182,8 @@ def cmd_chain(args) -> int:
         "epsilon": scales.epsilon,
         "dt": dt, "n_steps": n_steps, "stability_margin": margin,
         "relative_energy_drift": abs(e1 - e0) / e0 if e0 > 0 else None,
+        "omega_verlet": omega_verlet,
+        "relative_modified_energy_drift": abs(h1 - h0) / h0 if h0 > 0 else None,
     }
     _write(args.summary, [json.dumps(summary, indent=2) + "\n"])
     return 0

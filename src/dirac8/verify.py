@@ -8,6 +8,7 @@ pass/fail entry with its tolerance.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -152,33 +153,119 @@ def _catalog_checks(rep: VerificationReport, qp: QuantumParams,
          abs(slope - 2.0), 1e-6)
 
 
+def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: ChainParams,
+                 record_every: int = 1, member=()):
+    """Step n_steps of velocity Verlet, recording a sample every record_every steps.
+
+    The independent stepper of the time-domain chain checks and the tests'
+    reference for ``chain.simulate``, which evaluates the same map in closed
+    form: same arguments, same checks, same (times, u, U, du_dt, dU_dt,
+    final_state).  Each operation is elementwise and the accelerations
+    depend on x alone, so every ring of a stack is bit-identical to its lone
+    run, and a run split into two calls equals the unsplit one.
+
+    (u, U) is the interior of one preallocated (..., 2, n_sites + 2) buffer
+    whose two ghost columns hold the periodic neighbours, so the Laplacian is
+    a difference of slices, and every update writes in place.  Each
+    operation keeps the order of the written-out form
+    ``lap = (roll(x, 1) + roll(x, -1)) - 2 x``,
+    ``a = (K (x_other - x) + c lap) / mass``,
+    ``x <- (x + dt v) + (dt^2 / 2) a``, ``v <- v + (dt / 2)(a + a_new)``,
+    so the results are bit-identical to it.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 0 or record_every < 1:
+        raise ValueError("need n_steps >= 0 and record_every >= 1")
+    if dt * chain.max_frequency(params) >= 2.0:
+        warnings.warn("time step exceeds the velocity-Verlet stability bound "
+                      "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
+    n, t = state.n_sites, state.t
+    xp = np.empty(state.x.shape[:-1] + (n + 2,))  # columns 0 and n + 1 are ghosts
+    x = xp[..., 1:-1]
+    x[...] = state.x
+    v = np.array(state.v)
+    ghost_lo, ghost_hi, last, first = xp[..., 0], xp[..., -1], xp[..., n], xp[..., 1]
+    left, right, swapped = xp[..., :-2], xp[..., 2:], x[..., ::-1, :]
+    coupling = np.array([[params.I], [params.J]])
+    mass = np.array([[params.m], [params.M]])
+    a, a_new, tmp = np.empty((3,) + x.shape)
+    half_dt, half_dt2 = 0.5 * dt, 0.5 * dt**2
+
+    def accelerations(out):
+        np.copyto(ghost_lo, last)
+        np.copyto(ghost_hi, first)
+        np.add(left, right, out=out)
+        np.multiply(x, 2, out=tmp)
+        np.subtract(out, tmp, out=out)          # Laplacian
+        np.multiply(coupling, out, out=out)
+        np.subtract(swapped, x, out=tmp)        # (U - u, u - U)
+        np.multiply(params.K, tmp, out=tmp)
+        np.add(tmp, out, out=out)
+        np.divide(out, mass, out=out)
+
+    times = np.empty(n_steps // record_every + 1)
+    x_rec, v_rec = x[member], v[member]
+    # a copy (advanced indexing) would record step 0 for ever; a row would be no state
+    if x_rec.shape[-2:] != x.shape[-2:] or not np.may_share_memory(x_rec, x):
+        raise ValueError("member must be a basic index into the leading axes")
+    xs, vs = np.empty((2, len(times)) + x_rec.shape)
+    times[0], xs[0], vs[0] = t, x_rec, v_rec
+    accelerations(a)
+    for i in range(1, n_steps + 1):
+        np.multiply(dt, v, out=tmp)
+        np.add(x, tmp, out=x)
+        np.multiply(half_dt2, a, out=tmp)
+        np.add(x, tmp, out=x)
+        accelerations(a_new)
+        np.add(a, a_new, out=tmp)
+        np.multiply(half_dt, tmp, out=tmp)
+        np.add(v, tmp, out=v)
+        a, a_new = a_new, a
+        t = t + dt
+        if i % record_every == 0:
+            j = i // record_every
+            times[j], xs[j], vs[j] = t, x_rec, v_rec
+    rec = chain.LatticeState(xs, vs)  # the samples, as a stack of states
+    return times, rec.u, rec.U, rec.du_dt, rec.dU_dt, chain.LatticeState(x.copy(), v, t)
+
+
 def _chain_checks(rep: VerificationReport) -> None:
     cp = ChainParams(m=1.0, M=4.0, K=1.0, I=1.0, J=1.0, a=1.0)
     slope = chain.convergence_exponent(cp)
     _add(rep, "chain-continuum convergence order", "long-wave limit",
          abs(slope - 2.0), 0.2, f"fitted slope {slope:.4f}")
 
-    n_sites, mode, drift_steps = 64, 3, 10_000
+    n_sites, mode, drift_steps, amplitude = 64, 3, 10_000, 1e-3 * cp.a
     mp = chain.discrete_dispersion(2 * math.pi * mode / (n_sites * cp.a), cp)
     omega = mp.omega_optical
-    runs = [chain.init_mode(n_sites, mode, 1e-3 * cp.a, b, cp) for b in ("optical", "acoustic")]
-    dt = 0.01 / chain.max_frequency(cp)
+    runs = [chain.init_mode(n_sites, mode, amplitude, b, cp) for b in ("optical", "acoustic")]
+    omega_max = chain.max_frequency(cp)
+    dt = 0.01 / omega_max
     n_steps = int(8 * 2 * math.pi / omega / dt)  # 9,832: the optical run is the shorter
     # Step both runs as one (2, 2, n) stack, recording the optical one, then finish
-    # the acoustic run alone; each equals its lone ``chain.simulate`` run bit for bit.
-    both = chain.LatticeState(np.array([s.x for s in runs]), np.array([s.v for s in runs]))
-    times, us, *_, both = chain.simulate(both, dt, n_steps, cp, record_every=4, member=0)
+    # the acoustic run alone; each equals its lone ``verlet_steps`` run bit for bit.
+    start = chain.LatticeState(np.array([s.x for s in runs]), np.array([s.v for s in runs]))
+    times, us, *_, both = verlet_steps(start, dt, n_steps, cp, record_every=4, member=0)
     measured = chain.measure_mode_frequency(times, us[:, 0])
     _add(rep, "time-domain mode frequency", "dispersion cross-validation",
          abs(measured - omega) / omega, 1e-4)
 
     # record_every = drift_steps exceeds the steps left: only the start frame is kept
     acoustic = chain.LatticeState(both.x[1], both.v[1], both.t)
-    *_, final = chain.simulate(acoustic, dt, drift_steps - n_steps, cp,
-                               record_every=drift_steps)
+    *_, final = verlet_steps(acoustic, dt, drift_steps - n_steps, cp,
+                             record_every=drift_steps)
     e0, e1 = (chain.total_energy(s, cp) for s in (runs[1], final))
     _add(rep, "symplectic energy drift", "energy conservation", abs(e1 - e0) / e0, 1e-6,
          "10^4 velocity-Verlet steps, acoustic mode")
+
+    # the same two runs as the closed-form map; velocities in units of omega_max
+    *_, both_map = chain.simulate(start, dt, n_steps, cp, record_every=n_steps)
+    *_, final_map = chain.simulate(runs[1], dt, drift_steps, cp, record_every=drift_steps)
+    deviation = max(max(np.abs(got.x - ref.x).max(), np.abs(got.v - ref.v).max() / omega_max)
+                    for got, ref in ((both_map, both), (final_map, final))) / amplitude
+    _add(rep, "loop equals the exact Verlet map", "closed-form velocity Verlet",
+         deviation, 1e-10, "final states of both runs against chain.simulate")
 
 
 def _evolution_checks(rep: VerificationReport, qp: QuantumParams) -> None:
@@ -215,7 +302,7 @@ def _evolution_checks(rep: VerificationReport, qp: QuantumParams) -> None:
 
 def full_report(epsilon: float = 0.5, corrupt: str | None = None,
                 seed: int = SEED) -> VerificationReport:
-    """Run all 49 checks, the one configuration; the report's `passed` gates exit status.
+    """Run all 50 checks, the one configuration; the report's `passed` gates exit status.
 
     ``seed`` seeds the random draws; ``corrupt`` names a ``planewaves`` fault to switch on.
     """

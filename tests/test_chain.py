@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dirac8 import chain, verify
+from dirac8.cli import main
 from dirac8.params import ChainParams, ParameterError, characteristic_scales
 from dirac8.report import VerificationReport
 
@@ -231,9 +233,24 @@ def test_energy_drift_symplectic():
     assert abs(chain.total_energy(s, PARAMS) - e0) / e0 < 1e-6
 
 
+def _assert_close_to_loop(got, want, rel=1e-12):
+    """simulate's (times, u, U, du_dt, dU_dt, final) against the loop's, for the same run.
+
+    The times are the loop's bit for bit; every state cell is within rel of the
+    largest entry of the loop's array (its amplitude).
+    """
+    assert np.array_equal(got[0], want[0]) and got[5].t == want[5].t
+    for a, b in zip(got[1:5] + (got[5].x, got[5].v), want[1:5] + (want[5].x, want[5].v)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= rel * np.abs(b).max()
+    assert not any(np.shares_memory(arr, rec) for arr in (got[5].x, got[5].v)
+                   for rec in got[1:5])
+
+
 def _assert_matches_reference(state, params, dt=0.05, n_steps=1200, every=7):
-    times, us, Us, dus, dUs, final = chain.simulate(state, dt, n_steps, params,
-                                                    record_every=every)
+    """The verify loop equals the written-out reference bit for bit; simulate is within 1e-12."""
+    times, us, Us, dus, dUs, final = run = verify.verlet_steps(state, dt, n_steps, params,
+                                                               record_every=every)
     s = state
     expected = [(s.t, s.u, s.U, s.du_dt, s.dU_dt)]
     for i in range(1, n_steps + 1):
@@ -249,6 +266,7 @@ def _assert_matches_reference(state, params, dt=0.05, n_steps=1200, every=7):
     assert not np.shares_memory(final.x, final.v)
     assert not any(np.shares_memory(arr, rec) for arr in (final.x, final.v)
                    for rec in (us, Us, dus, dUs))
+    _assert_close_to_loop(chain.simulate(state, dt, n_steps, params, record_every=every), run)
 
 
 def test_simulate_matches_reference_steps():
@@ -273,9 +291,10 @@ def test_stacked_kernel_matches_lone_runs_and_reference():
     states = [_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)]
     dt, n_steps = 0.05, 300
     stack = _stack(*states, t=0.3)
-    *_, out = chain.simulate(stack, dt, n_steps, params, record_every=n_steps, member=0)
+    *_, out = verify.verlet_steps(stack, dt, n_steps, params, record_every=n_steps,
+                                   member=0)
     for b, state in enumerate(states):
-        *_, lone = chain.simulate(state, dt, n_steps, params, record_every=n_steps)
+        *_, lone = verify.verlet_steps(state, dt, n_steps, params, record_every=n_steps)
         ref = state
         for _ in range(n_steps):
             ref = _reference_step(ref, dt, params)
@@ -290,10 +309,10 @@ def test_stacked_kernel_matches_lone_runs_and_reference():
 def test_stacked_kernel_split_run_equals_unsplit():
     states = [_random_state(16, seed=3), _random_state(16, seed=4)]
     dt, m, n_steps = 0.05, 137, 400
-    *_, both = chain.simulate(_stack(*states), dt, m, PARAMS, record_every=m, member=0)
+    *_, both = verify.verlet_steps(_stack(*states), dt, m, PARAMS, record_every=m, member=0)
     rest = chain.LatticeState(both.x[1], both.v[1], both.t)
-    *_, split = chain.simulate(rest, dt, n_steps - m, PARAMS, record_every=n_steps)
-    *_, whole = chain.simulate(states[1], dt, n_steps, PARAMS, record_every=n_steps)
+    *_, split = verify.verlet_steps(rest, dt, n_steps - m, PARAMS, record_every=n_steps)
+    *_, whole = verify.verlet_steps(states[1], dt, n_steps, PARAMS, record_every=n_steps)
     assert split.t == whole.t
     assert np.array_equal(split.x, whole.x) and np.array_equal(split.v, whole.v)
 
@@ -302,35 +321,97 @@ def test_stacked_kernel_split_run_equals_unsplit():
 def test_stacked_kernel_records_one_member(member):
     states = [_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)]
     dt, n_steps, every = 0.05, 50, 4
-    times, *frames, _ = chain.simulate(_stack(*states, t=1.0), dt, n_steps, PARAMS,
-                                       record_every=every, member=member)
-    lone_times, *lone_frames, _ = chain.simulate(states[member], dt, n_steps, PARAMS,
-                                                 record_every=every)
+    times, *frames, _ = verify.verlet_steps(_stack(*states, t=1.0), dt, n_steps, PARAMS,
+                                            record_every=every, member=member)
+    lone_times, *lone_frames, _ = verify.verlet_steps(states[member], dt, n_steps, PARAMS,
+                                                      record_every=every)
     assert np.array_equal(times, lone_times)
     assert all(f.shape == (n_steps // every + 1, 12) for f in frames)
     assert np.array_equal(frames, lone_frames)
 
 
+@pytest.mark.parametrize("states, member, every", [
+    ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 0, 7),
+    ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 1, 300),
+    ([_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)], (), 4),
+    ([_random_state(512, seed=7)], (), 25),
+], ids=["stack-member-0", "stack-member-1", "stack-whole", "512-sites"])
+def test_simulate_matches_verlet_steps(states, member, every):
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    stack = _stack(*states, t=states[0].t)
+    dt, n_steps = 0.05, 2000
+    got = chain.simulate(stack, dt, n_steps, params, record_every=every, member=member)
+    _assert_close_to_loop(got, verify.verlet_steps(stack, dt, n_steps, params,
+                                                   record_every=every, member=member))
+    assert not any(np.shares_memory(arr, got[5].x) or np.shares_memory(arr, got[5].v)
+                   for arr in (stack.x, stack.v))
+
+
+@pytest.mark.parametrize("margin", [2.0, 2.5])
+def test_simulate_at_and_past_the_stability_bound_matches_verlet_steps(margin):
+    # dt omega_max = 2 turns the zone-edge optical mode by theta = pi, where
+    # sin(theta) = 0; past it the iterates grow, and the map must grow with them
+    state = _random_state(16, seed=9)
+    dt = margin / chain.max_frequency(PARAMS)
+    runs = []
+    for stepper in (chain.simulate, verify.verlet_steps):
+        with pytest.warns(RuntimeWarning, match="stability bound"):
+            runs.append(stepper(state, dt, 12, PARAMS))
+    _assert_close_to_loop(*runs)
+    if margin > 2:
+        assert np.abs(runs[0][5].x).max() > 1e3 * np.abs(state.x).max()
+
+
+def test_simulate_translates_the_uniform_mode():
+    # k = 0 on the acoustic branch (omega = 0, sin(theta) = 0): x_n = x_0 + n dt v_0
+    x = np.full((2, 8), 0.3)
+    v = np.full((2, 8), -1.7e-3)
+    dt, n_steps = 0.01, 123_457
+    times, us, Us, dus, dUs, final = chain.simulate(chain.LatticeState(x, v), dt, n_steps,
+                                                    PARAMS, record_every=1000)
+    steps = 1000 * np.arange(len(times))[:, None]
+    for got, want in ((us, 0.3 - 1.7e-3 * dt * steps), (Us, 0.3 - 1.7e-3 * dt * steps),
+                      (final.x, x + n_steps * dt * v)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for got in (dus, dUs, final.v):
+        assert np.abs(got + 1.7e-3).max() <= 1e-16
+
+
 def test_chain_checks_equal_two_lone_runs():
     rep = VerificationReport()
     verify._chain_checks(rep)
-    freq_check, drift_check = rep.checks[-2:]
+    freq_check, drift_check, map_check = rep.checks[-3:]
 
-    # the two runs as separate ``simulate`` calls
+    # the two runs as separate ``verify.verlet_steps`` calls
     n_sites, mode = 64, 3
     omega = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS).omega_optical
-    dt = 0.01 / chain.max_frequency(PARAMS)
+    omega_max = chain.max_frequency(PARAMS)
+    dt = 0.01 / omega_max
     n_steps = int(8 * 2 * math.pi / omega / dt)
-    state = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
-    times, us, *_ = chain.simulate(state, dt, n_steps, PARAMS, record_every=4)
+    optical = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
+    times, us, *_, optical_end = verify.verlet_steps(optical, dt, n_steps, PARAMS,
+                                                     record_every=4)
     measured = chain.measure_mode_frequency(times, us[:, 0])
-    state = chain.init_mode(n_sites, mode, 1e-3, "acoustic", PARAMS)
-    e0 = chain.total_energy(state, PARAMS)
-    *_, final = chain.simulate(state, dt, 10_000, PARAMS, record_every=10_000)
+    acoustic = chain.init_mode(n_sites, mode, 1e-3, "acoustic", PARAMS)
+    e0 = chain.total_energy(acoustic, PARAMS)
+    *_, final = verify.verlet_steps(acoustic, dt, 10_000, PARAMS, record_every=10_000)
+    # and the closed-form map of each, compared with the loop's final state
+    deviation = 0.0
+    for state, steps, end in ((optical, n_steps, optical_end), (acoustic, 10_000, final)):
+        *_, exact = chain.simulate(state, dt, steps, PARAMS, record_every=steps)
+        deviation = max(deviation, np.abs(exact.x - end.x).max(),
+                        np.abs(exact.v - end.v).max() / omega_max)
+    # the acoustic run's first n_steps, stepped with the optical one, equal its own
+    *_, acoustic_mid = verify.verlet_steps(acoustic, dt, n_steps, PARAMS, record_every=n_steps)
+    *_, exact = chain.simulate(acoustic, dt, n_steps, PARAMS, record_every=n_steps)
+    deviation = max(deviation, np.abs(exact.x - acoustic_mid.x).max(),
+                    np.abs(exact.v - acoustic_mid.v).max() / omega_max)
 
-    assert (n_steps, len(rep.checks)) == (9832, 3)
+    assert (n_steps, len(rep.checks)) == (9832, 4)
     assert freq_check.measured == abs(measured - omega) / omega
     assert drift_check.measured == abs(chain.total_energy(final, PARAMS) - e0) / e0
+    assert map_check.name == "loop equals the exact Verlet map"
+    assert map_check.measured == deviation / 1e-3 and map_check.passed
 
 
 @pytest.mark.parametrize("branch", ["optical", "acoustic"])
@@ -338,18 +419,94 @@ def test_simulate_matches_exact_verlet_rotation(branch):
     # A normal mode started at rest: velocity Verlet advances it by an exact
     # rotation at the modified frequency w~, sin(w~ dt / 2) = w dt / 2 (Hairer,
     # Lubich & Wanner, Geometric Numerical Integration, ch. I.5), so
-    # x_j = x_0 cos(w~ j dt).  Settings of verify's frequency run.
+    # x_j = x_0 cos(w~ j dt), for the closed form and for the stepping loop.
+    # Settings of verify's frequency run.
     n_sites, mode = 64, 3
     mp = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS)
     omega = mp.omega_optical if branch == "optical" else mp.omega_acoustic
     dt = 0.01 / chain.max_frequency(PARAMS)
     n_steps = int(8 * 2 * math.pi / mp.omega_optical / dt)
-    omega_verlet = 2 / dt * math.asin(omega * dt / 2)
+    omega_verlet = chain.verlet_frequency(omega, dt)
     state = chain.init_mode(n_sites, mode, 1e-3, branch, PARAMS)
-    _, us, Us, *_ = chain.simulate(state, dt, n_steps, PARAMS, record_every=4)
-    phase = np.cos(omega_verlet * dt * 4 * np.arange(len(us)))[:, None]
-    err = max(np.abs(us - state.u * phase).max(), np.abs(Us - state.U * phase).max())
-    assert err < 1e-10 * 1e-3
+    for stepper in (chain.simulate, verify.verlet_steps):
+        _, us, Us, *_ = stepper(state, dt, n_steps, PARAMS, record_every=4)
+        phase = np.cos(omega_verlet * dt * 4 * np.arange(len(us)))[:, None]
+        err = max(np.abs(us - state.u * phase).max(), np.abs(Us - state.U * phase).max())
+        assert err < 1e-10 * 1e-3
+
+
+def test_verlet_frequency_is_the_one_step_angle():
+    # the one-step map of x'' = -omega^2 x has trace 2 cos(theta) = 2 - (omega dt)^2
+    dt = 0.1
+    for margin in (1e-6, 0.3, 1.0, 1.9, 2.0):
+        theta = dt * chain.verlet_frequency(margin / dt, dt)
+        assert math.cos(theta) == pytest.approx(1 - margin**2 / 2, rel=1e-14, abs=1e-15)
+    assert chain.verlet_frequency(2 / dt, dt) == pytest.approx(math.pi / dt, rel=1e-15)
+    # past the bound: theta = pi + i phi, cos(theta) = -cosh(phi)
+    theta = dt * chain.verlet_frequency(2.5 / dt + 0j, dt)
+    assert theta.real == pytest.approx(math.pi, rel=1e-15)
+    assert -math.cosh(theta.imag) == pytest.approx(1 - 2.5**2 / 2, rel=1e-14)
+
+
+def test_modified_energy_is_conserved_by_the_loop():
+    # Verlet conserves E - (dt^2 / 8) sum F^2 / mass exactly on the linear ring,
+    # where the energy itself oscillates at O(dt^2)
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    state = _random_state(32, seed=10)
+    dt = 0.5 / chain.max_frequency(params)
+    *_, end = verify.verlet_steps(state, dt, 3000, params, record_every=3000)
+    h0, h1 = (chain.modified_energy(s, dt, params) for s in (state, end))
+    e0, e1 = (chain.total_energy(s, params) for s in (state, end))
+    assert abs(h1 - h0) / h0 < 1e-12
+    assert abs(e1 - e0) / e0 > 1e-6
+    # no force, no correction: a uniform translation's modified energy is its energy
+    shift = chain.LatticeState(np.full((2, 8), 0.4), np.full((2, 8), 0.2))
+    assert chain.modified_energy(shift, dt, params) == chain.total_energy(shift, params)
+    # a stack's total
+    assert chain.modified_energy(_stack(state, end), dt, params) == pytest.approx(
+        h0 + h1, rel=1e-14)
+
+
+def _run_chain_cli(tmp_path, argv):
+    """The summary and the CSV columns (t, u, U, du_dt, dU_dt) as (frames, sites) arrays."""
+    csv, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    assert main(["chain", *argv, "-o", str(csv), "--summary", str(summary)]) == 0
+    s = json.loads(summary.read_text())
+    rows = np.loadtxt(csv, delimiter=",", skiprows=3)
+    n_sites = int(rows[:, 1].max()) + 1
+    t, _, *cells = rows.reshape(-1, n_sites, 6).transpose(2, 0, 1)
+    return s, t, cells
+
+
+@pytest.mark.parametrize("argv, n_sites, mode", [([], 128, 2),
+                                                 (["--n", "512", "--mode", "3"], 512, 3)])
+def test_chain_cli_matches_verlet_steps(tmp_path, argv, n_sites, mode):
+    s, t, cells = _run_chain_cli(tmp_path, argv)
+    state = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
+    times, *loop, _ = verify.verlet_steps(state, s["dt"], s["n_steps"], PARAMS,
+                                          record_every=max(s["n_steps"] // 400, 1))
+    assert np.array_equal(t, np.repeat(times[:, None], n_sites, axis=1))
+    for got, want in zip(cells, loop):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_chain_cli_long_acoustic_run_is_the_verlet_rotation(tmp_path):
+    # 364,518 steps: the low acoustic mode that stepping took seconds to reach
+    s, _, (us, Us, dus, dUs) = _run_chain_cli(
+        tmp_path, ["--n", "128", "--mode", "1", "--branch", "acoustic"])
+    assert s["n_steps"] == 364_518
+    dt = s["dt"]
+    theta = dt * chain.verlet_frequency(s["omega_dispersion"], dt)
+    assert s["omega_verlet"] == theta / dt
+    state = chain.init_mode(128, 1, 1e-3, "acoustic", PARAMS)
+    n = (s["n_steps"] // 400) * np.arange(len(us))[:, None]
+    # x_n = x_0 cos(n theta), v_n = -x_0 sin(n theta) sin(theta) / dt
+    for got, x0 in ((us, state.u), (Us, state.U)):
+        assert np.abs(got - x0 * np.cos(n * theta)).max() < 1e-10 * 1e-3
+    speed = math.sin(theta) / dt
+    for got, x0 in ((dus, state.u), (dUs, state.U)):
+        assert np.abs(got + x0 * np.sin(n * theta) * speed).max() < 1e-10 * 1e-3 * speed
 
 
 def test_simulate_record_every_not_dividing_n_steps():
@@ -401,6 +558,21 @@ def test_measure_mode_frequency_equilibrium_errors():
     times = np.linspace(0, 100, 500)
     with pytest.raises(ValueError):
         chain.measure_mode_frequency(times, np.zeros(500))
+
+
+def test_measure_mode_frequency_rejects_a_subnormal_trajectory():
+    times = 0.1 * np.arange(500)
+    with pytest.raises(ValueError, match="underflows"):
+        chain.measure_mode_frequency(times, 1e-310 * np.cos(times))
+
+
+def test_measure_mode_frequency_signed_zeros_are_one_side():
+    # +0 then -0 is no crossing: counting it would interpolate 0 / 0
+    dt = 0.1
+    signal = np.tile([1.0, 0.0, -0.0, -1.0, -0.0, 0.0], 20)  # mean exactly 0
+    with np.errstate(all="raise"):
+        measured = chain.measure_mode_frequency(dt * np.arange(len(signal)), signal)
+    assert measured == pytest.approx(2 * math.pi / (6 * dt), rel=1e-2)
 
 
 def test_measure_mode_frequency_superposition():

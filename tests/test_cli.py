@@ -77,7 +77,7 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in rep["checks"])
     assert any("single momentum term" in n for n in rep["notes"])
     assert rep["seed"] == 20240817 and "fast" not in rep
-    assert len(rep["checks"]) == 49
+    assert len(rep["checks"]) == 50
     assert set(rep["versions"]) == {"python", "numpy", "platform"}
 
 
@@ -114,11 +114,17 @@ def test_chain_summary_reports_the_run(tmp_path):
     code = main(["chain", "-o", str(tmp_path / "t.csv"), "--summary", str(summ)])
     assert code == 0
     s = json.loads(summ.read_text())
-    assert list(s)[-4:] == ["dt", "n_steps", "stability_margin", "relative_energy_drift"]
+    assert list(s) == ["mode_index", "branch", "wavenumber", "omega_dispersion",
+                       "omega_measured", "relative_error", "continuum_convergence_exponent",
+                       "epsilon", "dt", "n_steps", "stability_margin", "relative_energy_drift",
+                       "omega_verlet", "relative_modified_energy_drift"]
     omega_max = chain.max_frequency(ChainParams(m=1, M=4, K=1, I=1, J=1, a=1))
     assert s["dt"] == 0.01 / omega_max
     assert s["stability_margin"] == pytest.approx(0.01, rel=1e-12)
     assert 0 < s["relative_energy_drift"] < 1e-6
+    assert s["omega_verlet"] == chain.verlet_frequency(s["omega_dispersion"], s["dt"])
+    assert s["omega_verlet"] > s["omega_dispersion"]
+    assert s["relative_modified_energy_drift"] < 1e-12
     assert s["n_steps"] == int(8 * 2 * math.pi / s["omega_dispersion"] / s["dt"])
 
 
@@ -378,7 +384,7 @@ _REMOVED = {"verify": {**_UNITS, "--fast": None}, "chain": {"--units": _choice("
             "evolve": {"--method": _choice("spectral", "rk4")}}
 _OUTPUTS = {"dispersion": ("-o",), "verify": ("-o",), "chain": ("-o", "--summary"),
             "solutions": ("-o",), "evolve": ("-o", "--summary")}
-_MAX_CHAIN_STEPS = 5000
+_MAX_CHAIN_STEPS = 10**6
 
 
 @st.composite
