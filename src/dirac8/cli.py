@@ -3,8 +3,9 @@ simulation, plane-wave catalogs, and packet evolution.
 
 Output conventions: every subcommand echoes the resolved unit system and mass
 ratio on comment lines starting with '#'; floats are written in shortest
-round-trip form; CSV uses '\\n' line endings.  Exit codes: 0 success, 1
-verification/runtime failure, 2 usage error.
+round-trip form, byte for byte as ``repr`` writes them (CSV cells by
+``textfmt.cells``, whole columns at a time); CSV uses '\\n' line endings.
+Exit codes: 0 success, 1 verification/runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import chain as chain_mod
-from . import dispersion, evolution, planewaves, verify
+from . import dispersion, evolution, planewaves, textfmt, verify
 from .params import ChainParams, ParameterError, QuantumParams
 
 
@@ -72,18 +73,34 @@ def _header(units: str, epsilon) -> list[str]:
     return [f"# units: {units}", f"# epsilon: {epsilon!r}"]
 
 
-def _csv(head: list[str], frames):
-    """Yield the header lines, then one chunk of CSV lines per frame.
+_CHUNK_CELLS = 8192  # cells formatted per pass, which bounds the memory a table takes
 
-    A frame is (labels, columns): label columns of ready-made cell strings,
-    then numeric array columns, each cell written by ``repr`` of its
-    ``.tolist()`` value.  Frames are formatted one at a time, so only one
-    frame's cells are alive at once.
+
+def _csv(head: list[str], shape, columns):
+    """Yield the header lines, then the table's CSV lines, about 8k cells at a time.
+
+    The table has a row per index of ``shape``, in C order.  Each column
+    broadcasts to ``shape`` and holds either float64 values or cells already
+    written: uint8 text, NUL-padded along one more trailing axis.  Floats are
+    written by ``textfmt.cells``, byte for byte as ``repr`` writes them; each
+    chunk's cells and separators are laid into one NUL-padded byte block,
+    compacted once and decoded once.
     """
     yield "".join(line + "\n" for line in head)
-    for labels, columns in frames:
-        cells = [map(repr, col.tolist()) for col in columns]
-        yield "\n".join(map(",".join, zip(*labels, *cells))) + "\n"
+    n_rows = math.prod(shape)
+    step = max(_CHUNK_CELLS // len(columns), 1)
+    for start in range(0, n_rows, step):
+        index = np.unravel_index(np.arange(start, min(start + step, n_rows)), shape)
+        # i % m is 0 along a column's axes of length 1: the column's broadcast
+        taken = [col[tuple(i % m for i, m in zip(index, col.shape))] for col in columns]
+        floats = [j for j, col in enumerate(taken) if col.dtype != np.uint8]
+        written = textfmt.cells(np.stack([taken[j] for j in floats]))
+        for j, cells in zip(floats, written):
+            taken[j] = cells
+        comma = np.full((len(index[0]), 1), ord(","), dtype=np.uint8)
+        block = np.concatenate([part for cells in taken for part in (cells, comma)], axis=1)
+        block[:, -1] = ord("\n")
+        yield block[block != 0].tobytes().decode("ascii")
 
 
 def _write(path, chunks) -> None:
@@ -111,8 +128,8 @@ def cmd_dispersion(args) -> int:
         raise _UsageError(f"dispersion: the optical energy at --pmax {args.pmax!r} overflows")
     grid = np.linspace(-args.pmax, args.pmax, args.n)
     _write(args.output, itertools.chain.from_iterable(
-        _csv(_header(units, eps) + [",".join(dispersion.FIGURE2_COLUMNS)],
-             [((), dispersion.figure2_table(grid, dataclasses.replace(base, epsilon=eps)).T)])
+        _csv(_header(units, eps) + [",".join(dispersion.FIGURE2_COLUMNS)], grid.shape,
+             dispersion.figure2_table(grid, dataclasses.replace(base, epsilon=eps)).T)
         for eps in eps_list))
     return 0
 
@@ -168,11 +185,11 @@ def cmd_chain(args) -> int:
     h0, h1 = (chain_mod.modified_energy(s, dt, params) for s in (state, final))
     omega_verlet = float(chain_mod.verlet_frequency(omega, dt))
     scales = chain_mod.characteristic_scales(params)
-    sites = list(map(str, range(args.n)))
-    frames = ((([repr(t)] * args.n, sites), sample)
-              for t, *sample in zip(times.tolist(), us, Us, dus, dUs))
+    sites = np.arange(args.n).astype("S")
     head = _header(_NATURAL, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"]
-    _write(args.output, _csv(head, frames))
+    _write(args.output, _csv(head, us.shape, [
+        textfmt.cells(times)[:, None], sites.view(np.uint8).reshape(1, args.n, -1),
+        us, Us, dus, dUs]))
 
     summary = {
         "mode_index": args.mode, "branch": args.branch, "wavenumber": k,
@@ -236,10 +253,11 @@ def cmd_evolve(args) -> int:
         if i in (args.samples // 2, args.samples):
             snapshots.append(state)
 
-    frames = ((([repr(float(s.t))] * s.n_grid,), (s.z, *np.abs(s.fields) ** 2))
-              for s in snapshots)
+    intensities = np.array([np.abs(s.fields) ** 2 for s in snapshots]).transpose(1, 0, 2)
     head = _header(units, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
-    _write(args.output, _csv(head, frames))
+    _write(args.output, _csv(head, intensities.shape[1:], [
+        textfmt.cells([s.t for s in snapshots])[:, None], np.array([s.z for s in snapshots]),
+        *intensities]))
 
     v_meas, _ = evolution.centroid_velocity(times, positions, args.L)
     v_ref = dispersion.group_velocity(branch, args.k0, qp) if args.k0 != 0 else 0.0

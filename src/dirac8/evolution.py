@@ -11,10 +11,10 @@ projects the Fourier coefficients with Lt, advances each branch by its phase
 exp(-i E t / hbar) and reconstructs with R.  No numerical eigen-solve is
 involved, and at k = 0, where the acoustic energies coincide, the two
 acoustic vectors stay independent by construction.  It is the only propagator
-the library runs; ``evolve_rk4``, an RK4 method-of-lines stepper on the
-assembled sector matrices, is the tests' independent cross-check.  The
-second-order system x'' = -D x evolves per mode by its closed-form propagator
-in cos and sinc of the roots of D.
+the library has; the tests cross-check it with an RK4 method-of-lines stepper
+on the assembled sector matrices.  The second-order system x'' = -D x
+evolves per mode by its closed-form propagator in cos and sinc of the roots
+of D.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import BRANCHES, Branch, modal_pair, modes
-from .matrices import spin_sector_hamiltonian
 from .params import ContinuumParams, QuantumParams
 
 
@@ -121,13 +120,6 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
     return FieldState(n_grid=n_grid, L=L, fields=fields)
 
 
-def _sector_matrices(ks: np.ndarray, params: QuantumParams) -> np.ndarray:
-    """Sector matrix per wavenumber; H is affine in the momentum p = hbar k."""
-    H0 = spin_sector_hamiltonian(0.0, params)
-    dH = spin_sector_hamiltonian(1.0, params) - H0
-    return H0 + (params.hbar * ks)[:, None, None] * dH
-
-
 def _project(state: FieldState, Lt: np.ndarray) -> np.ndarray:
     """Branch coefficients (n, 4) of the state's Fourier coefficients."""
     return np.einsum("kji,ik->kj", Lt, np.fft.fft(state.fields, axis=1))
@@ -155,27 +147,6 @@ def evolve(state: FieldState, dt: float, n_steps: int, params: QuantumParams) ->
     return _modal_propagator(state, params)(dt * n_steps)
 
 
-def evolve_rk4(state: FieldState, dt: float, n_steps: int,
-               params: QuantumParams) -> FieldState:
-    """n_steps RK4 steps of each Fourier mode's dc/dt = -i H(k) c / hbar; needs dt < dz / (4 c)."""
-    if dt >= state.dz / (4 * params.c):
-        raise ValueError("rk4 step too large: require dt < dz / (4 c)")
-    M = -1j * _sector_matrices(_wavenumbers(state.n_grid, state.L), params) / params.hbar
-
-    def rhs(c):
-        return np.einsum("kij,kj->ki", M, c)
-
-    coeffs = np.fft.fft(state.fields, axis=1).T  # (n, 4)
-    for _ in range(n_steps):
-        k1 = rhs(coeffs)
-        k2 = rhs(coeffs + 0.5 * dt * k1)
-        k3 = rhs(coeffs + 0.5 * dt * k2)
-        k4 = rhs(coeffs + dt * k3)
-        coeffs = coeffs + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    fields = np.fft.ifft(coeffs.T, axis=1)
-    return FieldState(state.n_grid, state.L, fields, state.t + dt * n_steps)
-
-
 def evolve_samples(state: FieldState, dt: float, n_samples: int,
                    params: QuantumParams) -> Iterator[FieldState]:
     """Yield the states at state.t + i * dt, i = 1 .. n_samples, from one modal projection."""
@@ -193,17 +164,6 @@ def packet_centroid(state: FieldState) -> float:
     theta = 2 * math.pi * state.z / state.L
     mean = np.sum(intensity * np.exp(1j * theta)) / total
     return float(np.angle(mean) % (2 * math.pi)) * state.L / (2 * math.pi)
-
-
-def packet_width(state: FieldState) -> float:
-    """Wrap-aware RMS width about the centroid."""
-    intensity = np.sum(np.abs(state.fields) ** 2, axis=0)
-    total = intensity.sum()
-    if total == 0:
-        raise ValueError("zero field has no width")
-    c = packet_centroid(state)
-    d = np.mod(state.z - c + state.L / 2, state.L) - state.L / 2
-    return float(math.sqrt(np.sum(intensity * d**2) / total))
 
 
 def centroid_velocity(times, positions, L: float) -> tuple[float, float]:

@@ -11,7 +11,7 @@ eight-component wave function (Psi_1..Psi_4, Phi_1..Phi_4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -102,14 +102,6 @@ def build_solution(branch: Branch, spin: str, p_z: float,
                             amplitudes=np.zeros(8, dtype=complex), form=amp.form)
     sol.amplitudes[SPIN_SLOTS[spin]] = (amp.b1, amp.b3, amp.d1, amp.d3)
     return sol
-
-
-def spin_flip(solution: PlaneWaveSolution) -> PlaneWaveSolution:
-    """Swap component indices 1<->2 and 3<->4 in both sectors (an involution)."""
-    perm = [1, 0, 3, 2, 5, 4, 7, 6]
-    return replace(solution,
-                   spin="down" if solution.spin == "up" else "up",
-                   amplitudes=solution.amplitudes[perm])
 
 
 def residual(solution: PlaneWaveSolution, sample_points, params: QuantumParams) -> float:

@@ -258,6 +258,9 @@ def _chain_checks(rep: VerificationReport) -> None:
     e0, e1 = (chain.total_energy(s, cp) for s in (runs[1], final))
     _add(rep, "symplectic energy drift", "energy conservation", abs(e1 - e0) / e0, 1e-6,
          "10^4 velocity-Verlet steps, acoustic mode")
+    h0, h1 = (chain.modified_energy(s, dt, cp) for s in (runs[1], final))
+    _add(rep, "modified energy drift", "discrete energy conservation", abs(h1 - h0) / h0,
+         1e-12, "the same run's E - (dt^2/8) sum F^2/mass, which Verlet conserves exactly")
 
     # the same two runs as the closed-form map; velocities in units of omega_max
     *_, both_map = chain.simulate(start, dt, n_steps, cp, record_every=n_steps)
@@ -302,7 +305,7 @@ def _evolution_checks(rep: VerificationReport, qp: QuantumParams) -> None:
 
 def full_report(epsilon: float = 0.5, corrupt: str | None = None,
                 seed: int = SEED) -> VerificationReport:
-    """Run all 50 checks, the one configuration; the report's `passed` gates exit status.
+    """Run all 51 checks, the one configuration; the report's `passed` gates exit status.
 
     ``seed`` seeds the random draws; ``corrupt`` names a ``planewaves`` fault to switch on.
     """

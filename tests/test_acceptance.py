@@ -14,6 +14,7 @@ from dirac8.dispersion import (ACOUSTIC_MINUS, ACOUSTIC_PLUS, BRANCHES,
                                OPTICAL_MINUS, OPTICAL_PLUS, branch_energy,
                                figure2_table, group_velocity, phase_velocity)
 from dirac8.params import ChainParams, QuantumParams
+from test_evolution import evolve_rk4
 
 QP = QuantumParams(epsilon=0.5)
 
@@ -172,7 +173,7 @@ def test_criterion_10_spectral_exact_and_rk4():
     exact = evo.evolve(packet, 2.0, 1, QP)
 
     def rk4_err(dt):
-        out = evo.evolve_rk4(packet, dt, round(2.0 / dt), QP)
+        out = evolve_rk4(packet, dt, round(2.0 / dt), QP)
         return np.max(np.abs(out.fields - exact.fields))
 
     ratio = rk4_err(0.04) / rk4_err(0.02)

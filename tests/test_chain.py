@@ -380,7 +380,7 @@ def test_simulate_translates_the_uniform_mode():
 def test_chain_checks_equal_two_lone_runs():
     rep = VerificationReport()
     verify._chain_checks(rep)
-    freq_check, drift_check, map_check = rep.checks[-3:]
+    freq_check, drift_check, modified_check, map_check = rep.checks[-4:]
 
     # the two runs as separate ``verify.verlet_steps`` calls
     n_sites, mode = 64, 3
@@ -407,9 +407,11 @@ def test_chain_checks_equal_two_lone_runs():
     deviation = max(deviation, np.abs(exact.x - acoustic_mid.x).max(),
                     np.abs(exact.v - acoustic_mid.v).max() / omega_max)
 
-    assert (n_steps, len(rep.checks)) == (9832, 4)
+    assert (n_steps, len(rep.checks)) == (9832, 5)
     assert freq_check.measured == abs(measured - omega) / omega
     assert drift_check.measured == abs(chain.total_energy(final, PARAMS) - e0) / e0
+    h0, h1 = (chain.modified_energy(s, dt, PARAMS) for s in (acoustic, final))
+    assert modified_check.measured == abs(h1 - h0) / h0 and modified_check.passed
     assert map_check.name == "loop equals the exact Verlet map"
     assert map_check.measured == deviation / 1e-3 and map_check.passed
 

@@ -77,7 +77,7 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in rep["checks"])
     assert any("single momentum term" in n for n in rep["notes"])
     assert rep["seed"] == 20240817 and "fast" not in rep
-    assert len(rep["checks"]) == 50
+    assert len(rep["checks"]) == 51
     assert set(rep["versions"]) == {"python", "numpy", "platform"}
 
 
@@ -234,6 +234,25 @@ def test_cli_import_leaves_scipy_out():
     proc = _python("-c", "import dirac8.cli, sys; assert not any("
                    "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+# The modules outside the package that src/ imports, and locale, which argparse
+# loads to build a parser: the CLI's start-up loads nothing beyond what they load.
+_STARTUP_IMPORTS = ("__future__", "argparse", "collections.abc", "dataclasses", "itertools",
+                    "json", "locale", "math", "os", "platform", "sys", "typing", "warnings",
+                    "numpy")
+
+
+def test_cli_startup_builds_no_table_and_imports_nothing_new():
+    listing = "print(' '.join(m for m in sys.modules if not m.startswith('dirac8')))"
+    proc = _python("-c", "import sys, dirac8.cli, dirac8.textfmt\n"
+                   "dirac8.cli.build_parser()\n"
+                   "print(dirac8.textfmt._tables.cache_info().currsize)\n" + listing)
+    assert proc.returncode == 0, proc.stderr
+    built, loaded = proc.stdout.splitlines()
+    reference = _python("-c", f"import {', '.join(_STARTUP_IMPORTS)}\n" + listing)
+    assert built == "0"
+    assert set(loaded.split()) <= set(reference.stdout.split())
 
 
 def test_closed_stdout_exits_1_quietly():
