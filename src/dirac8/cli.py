@@ -81,23 +81,27 @@ def _csv(head: list[str], shape, columns):
 
     The table has a row per index of ``shape``, in C order.  Each column
     broadcasts to ``shape`` and holds either float64 values or cells already
-    written: uint8 text, NUL-padded along one more trailing axis.  Floats are
-    written by ``textfmt.cells``, byte for byte as ``repr`` writes them; each
-    chunk's cells and separators are laid into one NUL-padded byte block,
-    compacted once and decoded once.
+    written: uint8 text, NUL-padded along one more trailing axis.  A chunk
+    copies from each column only the leading indices that hold its rows, never
+    the whole column.  Floats are written by ``textfmt.cells``, byte for byte
+    as ``repr`` writes them; each chunk's cells and separators are laid into
+    one NUL-padded byte block, compacted once and decoded once.
     """
     yield "".join(line + "\n" for line in head)
-    n_rows = math.prod(shape)
+    n_rows, inner = math.prod(shape), math.prod(shape[1:])  # rows per leading index
     step = max(_CHUNK_CELLS // len(columns), 1)
     for start in range(0, n_rows, step):
-        index = np.unravel_index(np.arange(start, min(start + step, n_rows)), shape)
-        # i % m is 0 along a column's axes of length 1: the column's broadcast
-        taken = [col[tuple(i % m for i, m in zip(index, col.shape))] for col in columns]
+        stop = min(start + step, n_rows)
+        first, last = start // inner, -(-stop // inner)
+        offset = first * inner
+        taken = [np.broadcast_to(col, shape + col.shape[len(shape):])[first:last]
+                 .reshape(-1, *col.shape[len(shape):])[start - offset:stop - offset]
+                 for col in columns]
         floats = [j for j, col in enumerate(taken) if col.dtype != np.uint8]
         written = textfmt.cells(np.stack([taken[j] for j in floats]))
         for j, cells in zip(floats, written):
             taken[j] = cells
-        comma = np.full((len(index[0]), 1), ord(","), dtype=np.uint8)
+        comma = np.full((len(taken[0]), 1), ord(","), dtype=np.uint8)
         block = np.concatenate([part for cells in taken for part in (cells, comma)], axis=1)
         block[:, -1] = ord("\n")
         yield block[block != 0].tobytes().decode("ascii")
@@ -256,7 +260,7 @@ def cmd_evolve(args) -> int:
     intensities = np.array([np.abs(s.fields) ** 2 for s in snapshots]).transpose(1, 0, 2)
     head = _header(units, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
     _write(args.output, _csv(head, intensities.shape[1:], [
-        textfmt.cells([s.t for s in snapshots])[:, None], np.array([s.z for s in snapshots]),
+        textfmt.cells([s.t for s in snapshots])[:, None], textfmt.cells(state0.z)[None],
         *intensities]))
 
     v_meas, _ = evolution.centroid_velocity(times, positions, args.L)

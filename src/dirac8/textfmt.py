@@ -8,9 +8,14 @@ both bounds, decides exactly whether a multiple of 10^(k+1) reads back as v,
 and otherwise which multiple of 10^k next to v is nearest.  That is the
 shortest decimal that reads back, the nearest among those, ties to even, as
 ``repr`` picks it.  All of it is uint64 arithmetic, the 64 x 64-bit products
-in 32-bit limbs.  The layout is ``repr``'s: positional for decimal exponents
--5 < e < 16, with ``.0`` on integers, else ``d.ddde±XX``; and ``nan``,
-``inf``, ``-inf``, ``-0.0``.
+in 32-bit limbs.  g is multiplied by v once: the bounds differ from v by a
+power of two, so their products are those words plus or minus a shift of g.
+Trailing zeros are stripped by exact division (times the inverse of 5^j
+modulo 2^64, then a rotation), the digit count is a binary search in the
+powers of ten, and one ``np.take`` gathers each value's bytes by its layout.
+The layout is ``repr``'s: positional for decimal exponents -5 < e < 16,
+with ``.0`` on integers, else ``d.ddde±XX``; and ``nan``, ``inf``,
+``-inf``, ``-0.0``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ def _layout(negative: bool, n_digits: int, form: int) -> list[int]:
 
 @functools.cache
 def _tables():
-    """g as (g >> 63, g & (2^63 - 1)) and r per k, from k = -324; every layout.
+    """g per k from k = -324, as rows g >> 63 and g & (2^63 - 1), and r; every
+    layout; the powers of ten 10 .. 10^16; per decimal exponent from -324, its
+    sign and three digits, and the form its layouts take.
 
     10^-k = beta 2^r with 2^125 <= beta < 2^126, and g = floor(beta) + 1,
     exact in Python ints.  Built on first use, not at import.
@@ -68,12 +75,16 @@ def _tables():
         shifts.append(r)
     layouts = [_layout(negative, n_digits, form) for negative in (False, True)
                for n_digits in range(1, 18) for form in range(_FORMS)]
-    return (np.array(g_halves, dtype=np.uint64), np.array(shifts, dtype=np.int64),
-            np.array(layouts, dtype=np.uint8))
+    exponents = range(-324, 309)
+    return (np.array(g_halves, dtype=np.uint64).T.copy(), np.array(shifts, dtype=np.int64),
+            np.array(layouts, dtype=np.uint8), 10 ** np.arange(1, 17, dtype=np.uint64),
+            np.frombuffer("".join(f"{e:+04d}" for e in exponents).encode(),
+                          dtype=np.uint8).reshape(-1, 4).T.copy(),
+            np.array([e + 4 if -5 < e < 16 else 20 + (abs(e) >= 100) for e in exponents]))
 
 
 def _mul128(a: np.ndarray, b: np.ndarray):
-    """The high and low 64-bit halves of a * b for uint64 arrays, in 32-bit limbs."""
+    """The high and low 64-bit words of a * b, uint64 arrays that broadcast, in 32-bit limbs."""
     a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
     low, cross1, cross2 = a0 * b0, a1 * b0, a0 * b1
     mid = (low >> 32) + (cross1 & _M32) + (cross2 & _M32)
@@ -81,32 +92,51 @@ def _mul128(a: np.ndarray, b: np.ndarray):
             (low & _M32) | (mid << 32))
 
 
-def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """Schubfach's rop: g cp / 2^127 for g = g1 2^63 + g0, rounded to odd.
+def _round_to_odd(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Schubfach's rop: g cp / 2^127 rounded to odd, for g = g1 2^63 + g0.
 
-    As in the reference, the low 64 bits of g0 cp are dropped, which cancels
-    the + 1 of g where 10^-k 2^-r is an integer.
+    high and low are the words of g1 cp (row 0) and g0 cp (row 1).  As in the
+    reference, the low bit of g1 cp and the low word of g0 cp are dropped,
+    which cancels the + 1 of g where 10^-k 2^-r is an integer.
     """
-    y1, y0 = _mul128(g1, cp)
-    z = (y0 >> 1) + _mul128(g0, cp)[0]
-    return (y1 + (z >> 63)) | ((z & _M63) != 0)
+    z = (low[0] >> 1) + high[1]
+    return (high[0] + (z >> 63)) | ((z & _M63) != 0)
+
+
+def _bounds(c: np.ndarray, q: np.ndarray):
+    """k, and Schubfach's vbl, vb, vbr: 4 v 10^-k and its interval's bounds, rounded to odd.
+
+    v = c 2^q, and each is rop(g, x 2^h) at x = 4c - 2 (4c - 1 where the gap
+    below v is half the gap above), 4c and 4c + 2.  g cp is multiplied out
+    once, at 4c 2^h; the bounds add or take away g 2^(h+1) (g 2^h), a shift
+    of g, word by word with the carry or borrow.
+    """
+    g, r = _tables()[:2]
+    asymmetric = (c == 1 << 52) & (q > -1074)
+    k = (q * 661_971_961_083 - asymmetric * 274_743_187_321) >> 41  # floor(log10(width))
+    at = k - _K_MIN
+    h = (q + np.take(r, at) + 127).astype(np.uint64)  # 2 .. 5
+    g = np.take(g, at, axis=1)  # rows g1 and g0
+    high, low = _mul128(g, c << (h + 2))  # the words of g1 cp and g0 cp at cp = 4c 2^h
+    vb = _round_to_odd(high, low)
+    shift = h + 1
+    gl, gh = g << shift, g >> (64 - shift)  # the words of g 2^(h+1)
+    up = low + gl
+    vbr = _round_to_odd(high + gh + (up < gl), up)
+    shift -= asymmetric
+    gl, gh = g << shift, g >> (64 - shift)
+    vbl = _round_to_odd(high - gh - (low < gl), low - gl)
+    return k, vbl, vb, vbr
 
 
 def _shortest(c: np.ndarray, q: np.ndarray):
     """Schubfach's (digits, k): the decimal digits 10^k that ``repr`` writes for c 2^q.
 
-    c > 0 is the integer significand, q the binary exponent.  The digits may
-    end in zeros.
+    c > 0 is the integer significand, q the binary exponent.  The digits end
+    in no zero.
     """
-    g, r, _ = _tables()
+    k, vbl, vb, vbr = _bounds(c, q)
     odd = c & 1  # an even c reads back from the bounds of its interval too
-    asymmetric = (c == 1 << 52) & (q > -1074)  # the gap below v is half the gap above
-    k = (q * 661_971_961_083 - asymmetric * 274_743_187_321) >> 41  # floor(log10(width))
-    at = k - _K_MIN
-    cb, h, g1, g0 = c << 2, (q + r[at] + 127).astype(np.uint64), g[at, 0], g[at, 1]
-    vbl, vb, vbr = (_round_to_odd(g1, g0, x << h)  # 4 v 10^-k and its bounds
-                    for x in (cb - 2 + asymmetric.astype(np.uint64), cb, cb + 2))
-
     s = vb >> 2
     sp10 = s // 10 * 10  # the multiples of 10^(k+1) either side of v
     tp10 = sp10 + 10
@@ -118,27 +148,30 @@ def _shortest(c: np.ndarray, q: np.ndarray):
     cmp = vb.astype(np.int64) - ((s + t) << 1).astype(np.int64)
     nearer_s = np.where(uin != win, uin, (cmp < 0) | ((cmp == 0) & (s & 1 == 0)))
     digits = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(nearer_s, s, t))
+    for j in (16, 8, 4, 2, 1):  # strip trailing zeros by exact division, 10^j = 5^j 2^j
+        x = digits * pow(5, -j, 1 << 64)  # digits / 5^j modulo 2^64
+        x = (x >> j) | (x << (64 - j))  # rotated: digits / 10^j where that is exact, else larger
+        hit = x <= ((1 << 64) - 1) // 10**j
+        np.copyto(digits, x, where=hit)
+        k += hit * j
     return digits, k
 
 
-def cells(values) -> np.ndarray:
-    """Each float's ``repr`` text as ASCII bytes, NUL-padded to ``WIDTH``.
-
-    Returns uint8 of shape ``np.shape(values) + (WIDTH,)``.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    bits = flat.view(np.uint64)
+def _sources(bits: np.ndarray):
+    """The source rows, one per slot and one column per value, and each value's layout."""
     n = len(bits)
     exponent = (bits >> 52) & 0x7FF
     fraction = bits & ((1 << 52) - 1)
-    special = exponent == 0x7FF
     zero = (bits << 1) == 0
     c = np.where(exponent != 0, fraction | (1 << 52), fraction)
-    c[zero | special] = 1  # formatted as 5e-324, then overwritten
+    c[zero | (exponent == 0x7FF)] = 1  # formatted as 5e-324, then overwritten
     digits, k = _shortest(c, np.maximum(exponent.astype(np.int64), 1) - 1075)
     digits[zero] = 0
+    _, _, _, tens, exponents, forms = _tables()
+    n_digits = np.searchsorted(tens, digits, side="right") + 1
+    e = np.where(zero, 0, k + n_digits - 1) + 324  # the decimal exponent, from -324
 
-    # one source row per slot, one column per value; 17 digits fit 9 + 8 in uint32
+    # the digits, right-aligned in 17 slots, split 9 + 8 into uint32
     src = np.empty((_NUL + 1, n), dtype=np.uint8)
     high = (digits // 10**8).astype(np.uint32)
     low = (digits - high * np.uint64(10**8)).astype(np.uint32)
@@ -148,27 +181,24 @@ def cells(values) -> np.ndarray:
             src[slot] = part - rest * 10 + ord("0")
             part = rest
     src[_ZERO:_EXP_SIGN] = np.frombuffer(b"0.-e", dtype=np.uint8)[:, None]
+    src[_EXP_SIGN:_NUL] = np.take(exponents, e, axis=1)
     src[_NUL] = 0
-    nonzero = src[:17] != ord("0")
-    lead = np.where(zero, 16, nonzero.argmax(axis=0))
-    trail = np.where(zero, 0, nonzero[::-1].argmax(axis=0)).astype(np.uint8)
-    point = np.where(zero, 1, k + 17 - lead)  # digits before the decimal point
-    exp10 = point - 1
-    mag = np.abs(exp10)
-    src[_EXP_SIGN] = np.where(exp10 < 0, ord("-"), ord("+"))
-    src[_EXP] = mag // 100 + ord("0")
-    src[_EXP + 1] = mag // 10 % 10 + ord("0")
-    src[_EXP + 2] = mag % 10 + ord("0")
+    return src, ((bits >> 63).astype(np.intp) * 17 + n_digits - 1) * _FORMS + np.take(forms, e)
 
-    form = np.where((point > -4) & (point <= 16), point + 3, np.where(mag >= 100, 21, 20))
-    n_digits = 17 - lead - trail
-    index = _tables()[2][((bits >> 63).astype(np.int64) * 17 + n_digits - 1) * _FORMS + form]
-    index -= (index < 17) * trail[:, None]  # the digits end where the trailing zeros start
-    at = index.astype(np.int32 if src.size < 2**31 else np.intp)  # the narrowest that fits
-    at *= n
-    at += np.arange(n, dtype=at.dtype)[:, None]
-    out = src.reshape(-1)[at]
-    if special.any():
+
+def cells(values) -> np.ndarray:
+    """Each float's ``repr`` text as ASCII bytes, NUL-padded to ``WIDTH``.
+
+    Returns uint8 of shape ``np.shape(values) + (WIDTH,)``.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    n = len(flat)
+    src, rows = _sources(flat.view(np.uint64))
+    # each value's layout as offsets into src
+    at = np.take(np.multiply(_tables()[2], n, dtype=np.intp), rows, axis=0)
+    at += np.arange(n)[:, None]
+    out = np.take(src.reshape(-1), at)
+    if not np.isfinite(flat).all():
         for text, hit in ((b"nan", np.isnan(flat)), (b"inf", flat == np.inf),
                           (b"-inf", flat == -np.inf)):
             out[hit] = np.frombuffer(text.ljust(WIDTH, b"\0"), dtype=np.uint8)

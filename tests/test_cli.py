@@ -245,13 +245,15 @@ _STARTUP_IMPORTS = ("__future__", "argparse", "collections.abc", "dataclasses", 
 
 def test_cli_startup_builds_no_table_and_imports_nothing_new():
     listing = "print(' '.join(m for m in sys.modules if not m.startswith('dirac8')))"
-    proc = _python("-c", "import sys, dirac8.cli, dirac8.textfmt\n"
+    proc = _python("-c", "import sys, dirac8.cli, dirac8.textfmt, numpy\n"
                    "dirac8.cli.build_parser()\n"
-                   "print(dirac8.textfmt._tables.cache_info().currsize)\n" + listing)
+                   "print(dirac8.textfmt._tables.cache_info().currsize, *(name for name, value in "
+                   "vars(dirac8.textfmt).items() if isinstance(value, numpy.ndarray)))\n"
+                   + listing)
     assert proc.returncode == 0, proc.stderr
     built, loaded = proc.stdout.splitlines()
     reference = _python("-c", f"import {', '.join(_STARTUP_IMPORTS)}\n" + listing)
-    assert built == "0"
+    assert built == "0"  # nor is any array made at module level
     assert set(loaded.split()) <= set(reference.stdout.split())
 
 

@@ -1,8 +1,11 @@
 """The vectorised CSV cells against ``repr``, value by value and file by file."""
 
+import functools
 import json
 import math
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +65,60 @@ def test_extremes_and_specials():
     assert _joined(np.array([-np.nan, -0.0])) == "nan\n-0.0\n"
 
 
+def test_digits_times_powers_of_ten():
+    # d 10^j with up to 16 trailing zeros before the digits are stripped, across the range
+    _assert_repr([float(f"{d}e{j + base}") for d in range(1, 10) for j in range(17)
+                  for base in (-324, -17, 0, 6, 292)])
+
+
+@functools.cache
+def _schubfach(q, asymmetric):
+    """Schubfach's k, g and h for c 2^q, from exact rationals.
+
+    k = floor(log10(2^q)), or of 3/4 2^q where the gap below v is half the gap
+    above; 10^-k = beta 2^r with 2^125 <= beta < 2^126, g = floor(beta) + 1 and
+    h = q + r + 127.
+    """
+    width = Fraction(2) ** q * (Fraction(3, 4) if asymmetric else 1)
+    k = math.floor(q * math.log10(2))
+    while Fraction(10) ** k > width:
+        k -= 1
+    while Fraction(10) ** (k + 1) <= width:
+        k += 1
+    scale = Fraction(10) ** -k
+    r = scale.numerator.bit_length() - scale.denominator.bit_length() - 126
+    while scale / Fraction(2) ** r >= 2**126:
+        r += 1
+    while scale / Fraction(2) ** r < 2**125:
+        r -= 1
+    return k, math.floor(scale / Fraction(2) ** r) + 1, q + r + 127
+
+
+def _rop(g, cp):
+    """The reference's rop in Python ints: g cp / 2^127 rounded to odd, after dropping the
+    low bit of g1 cp and the low 64 bits of g0 cp, for g = g1 2^63 + g0."""
+    z = (g >> 63) * cp // 2 + (g & (2**63 - 1)) * cp // 2**64
+    return z >> 63 | (z % 2**63 != 0)
+
+
+def test_bounds_are_the_reference_products():
+    rng = np.random.default_rng(20261018)
+    sweep = np.arange(-1074, 972)
+    c = np.concatenate([rng.integers(2**52, 2**53, size=10**5, dtype=np.uint64),
+                        np.repeat(np.array([2**52, 2**52 + 1, 2**53 - 1], np.uint64), len(sweep)),
+                        rng.integers(1, 2**52, size=4096, dtype=np.uint64),  # subnormal
+                        np.array([1, 2, 3, 2**51, 2**52 - 1], np.uint64)])
+    q = np.concatenate([rng.integers(-1074, 972, size=10**5), np.tile(sweep, 3),
+                        np.full(4096 + 5, -1074)])
+    with np.errstate(all="raise"):
+        got = zip(*(part.tolist() for part in textfmt._bounds(c, q)))
+    for ci, qi, row in zip(c.tolist(), q.tolist(), got):
+        asymmetric = ci == 2**52 and qi > -1074
+        k, g, h = _schubfach(qi, asymmetric)
+        bounds = [_rop(g, x << h) for x in (4 * ci - 2 + asymmetric, 4 * ci, 4 * ci + 2)]
+        assert row == (k, *bounds), (ci, qi)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=64))
 def test_any_floats(values):
@@ -73,6 +130,22 @@ def test_cells_keep_the_shape_and_pad_with_nul():
     assert cells.shape == (1, 2, textfmt.WIDTH) and cells.dtype == np.uint8
     assert bytes(cells[0, 1]) == b"-2.5e-300".ljust(textfmt.WIDTH, b"\0")
     assert textfmt.cells(np.array([])).shape == (0, textfmt.WIDTH)
+
+
+def test_cells_peak_memory_on_a_cli_chunk():
+    # the CLI formats 4 columns of 1,365 rows per pass; 1,654,516 bytes was the peak
+    # of the kernel that multiplied out each bound's products separately
+    values = np.sin(np.arange(4 * 1365.0)).reshape(4, 1365) * 1e-3
+    textfmt.cells(values)  # the tables are built on the first call only
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        textfmt.cells(values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_654_516
 
 
 # The CLI's CSV before the kernel: the independent reference for whole files.
@@ -87,7 +160,11 @@ def _csv(head, frames):
 @pytest.mark.parametrize("argv, n, springs", [
     ([], 128, {}),
     (["--n", "16", "--mode", "3", "--branch", "acoustic", "--I", "0.7", "--M", "2.5"], 16,
-     {"I": 0.7, "M": 2.5})], ids=["defaults", "acoustic"])
+     {"I": 0.7, "M": 2.5}),
+    # chunks of 1,365 rows that cross the 512-site frames
+    (["--n", "512", "--mode", "3"], 512, {}),
+    (["--n", "512", "--mode", "220", "--branch", "acoustic"], 512, {})],
+    ids=["defaults", "acoustic", "n512-optical", "n512-acoustic"])
 def test_chain_file_is_the_repr_reference(tmp_path, argv, n, springs):
     csv, summary = tmp_path / "t.csv", tmp_path / "s.json"
     assert main(["chain", *argv, "-o", str(csv), "--summary", str(summary)]) == 0
