@@ -3,12 +3,15 @@ problem solved by ``dispersion.modal_pair``), velocity Verlet in closed form
 (``simulate``, ``verlet_frequency``, ``modified_energy``), energy, and
 mode-frequency measurement.
 
-A ``LatticeState`` holds the displacements (u, U) and velocities of one ring
-as (2, n) arrays, or of a stack of rings as (..., 2, n) arrays.  The ring is
-linear and periodic, so ``simulate`` steps neither kind: it evaluates the
-n-step Verlet map of each Fourier mode at the recorded steps, at a cost set by
-the number of samples.  The step-by-step loop is ``verify.verlet_steps``, the
-independent check of that map."""
+Both branches travel together, on a leading axis in ``dispersion.KINDS``
+order (acoustic first), as ``modal_pair`` returns them.  A ``LatticeState``
+holds the displacements (u, U) and velocities of one ring as (2, n) arrays,
+or of a stack of rings as (..., 2, n) arrays; ``simulate`` returns its
+samples as one such stack, with time leading.  The ring is linear and
+periodic, so ``simulate`` steps neither kind: it evaluates the n-step Verlet
+map of each Fourier mode at the recorded steps, at a cost set by the number
+of samples (plus the clock, summed step by step).  The step-by-step loop is
+``verify.verlet_steps``, the independent check of that map."""
 
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import continuum_dispersion, modal_pair
+from .dispersion import KINDS, continuum_dispersion, modal_pair
 from .params import ChainParams, ContinuumParams, characteristic_scales
 
 CONVERGENCE_KA = (0.2, 0.1, 0.05, 0.025)  # the k a of ``convergence_exponent``'s fit
@@ -48,34 +51,26 @@ class LatticeState:
     dU_dt = property(lambda self: self.v[..., 1, :])
 
 
-@dataclass(frozen=True)
-class ModePair:
-    """Both dispersion roots at a wavenumber (or array of them), with eigenvectors (b, d)."""
-
-    omega_acoustic: float
-    omega_optical: float
-    eigvec_acoustic: np.ndarray
-    eigvec_optical: np.ndarray
-
-
-def discrete_dispersion(k, params: ChainParams) -> ModePair:
-    """Exact two-branch dispersion of the ring at wavenumber k (a float or an array).
+def discrete_dispersion(k, params: ChainParams):
+    """Exact dispersion (omega, vecs) of both branches at wavenumber k (a float or an array).
 
     Eigenproblem omega^2 (b, d) = D(k) (b, d) with the 2x2 matrix obtained by
     substituting plane waves into the equations of motion, solved by
-    ``dispersion.modal_pair``: roots ascending with unit eigenvectors.
+    ``dispersion.modal_pair``: omega has shape (2, ...) and the unit
+    eigenvectors (b, d) shape (2, ..., 2), both indexed by branch in
+    ``dispersion.KINDS`` order, acoustic first.
     """
     s = characteristic_scales(params)
     sin2 = np.sin(0.5 * k * params.a) ** 2
     w_O2, w_A2 = s.omega_O**2, s.omega_A**2
     W, vecs = modal_pair(w_O2 + 4 * s.omega_m**2 * sin2, w_A2 + 4 * s.omega_M**2 * sin2,
                          w_O2, w_A2)
-    return ModePair(*np.sqrt(W), *vecs)
+    return np.sqrt(W), vecs
 
 
 def max_frequency(params: ChainParams) -> float:
     """Largest mode frequency on the ring (attained at the zone edge)."""
-    return discrete_dispersion(math.pi / params.a, params).omega_optical
+    return discrete_dispersion(math.pi / params.a, params)[0][1]
 
 
 def init_mode(n_sites: int, mode_index: int, amplitude: float, branch: str,
@@ -90,11 +85,10 @@ def init_mode(n_sites: int, mode_index: int, amplitude: float, branch: str,
         raise ValueError("need at least 2 sites")
     if not 0 <= mode_index < n_sites:
         raise ValueError(f"mode_index must be in [0, {n_sites}), got {mode_index}")
-    if branch not in ("acoustic", "optical"):
+    if branch not in KINDS:
         raise ValueError(f"unknown branch {branch!r}")
     k = 2 * math.pi * mode_index / (n_sites * params.a)
-    mp = discrete_dispersion(k, params)
-    vec = mp.eigvec_acoustic if branch == "acoustic" else mp.eigvec_optical
+    vec = discrete_dispersion(k, params)[1][KINDS.index(branch)]
     scale = amplitude / np.abs(vec).max()
     profile = np.cos(k * params.a * np.arange(n_sites))
     x = scale * vec[:, None] * profile
@@ -183,16 +177,15 @@ def _verlet_power(theta, dt: float, steps):
 
 
 def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
-             record_every: int = 1, member=()):
+             record_every: int = 1):
     """The states after n_steps of velocity Verlet, sampled every record_every steps.
 
-    The ring is periodic.  Returns (times, u, U, du_dt, dU_dt, final_state)
-    where the arrays have one row per recorded sample (including the initial
-    state); the input state is left unchanged and the final state shares no
-    memory with it or with the samples.  A stacked state runs every ring with the same dt and params;
-    only ``x[member]`` and ``v[member]`` are recorded, where member is a
-    basic index (ints and slices) into the leading axes and the default ()
-    records the whole state.
+    The ring is periodic.  Returns (times, samples, final_state), where
+    samples is a ``LatticeState`` of shape (len(times),) + state.x.shape, one
+    recorded state per time (the initial state first).  A stacked state runs
+    every ring with the same dt and params.  The input state is left
+    unchanged and the final state shares no memory with it or with the
+    samples.
 
     Nothing is stepped.  Verlet turns each Fourier mode of each branch of
     ``discrete_dispersion`` by theta = dt ``verlet_frequency`` per step, so a
@@ -201,10 +194,11 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
     x_n = cos(n theta) x_0 + dt S_n v_0 and
     v_n = cos(n theta) v_0 - (sin(n theta) sin(theta) / dt) x_0 per mode
     (``_verlet_power``), the eigenvectors and an ``irfft`` back, ``_CHUNK``
-    samples at a time.  The cost follows the samples, not the steps; the
-    states agree with stepping (``verify.verlet_steps``) to rounding error,
-    and the times, summed step by step, bit for bit.  Past the stability
-    bound the map grows, as the stepped iterates do.
+    samples at a time.  The cost follows the samples, apart from ``_clock``,
+    which sums the times step by step at a few ns a step; the states agree
+    with stepping (``verify.verlet_steps``) to rounding error, and the times
+    bit for bit.  Past the stability bound the map grows, as the stepped
+    iterates do.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -213,16 +207,12 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
     if dt * max_frequency(params) >= 2.0:
         warnings.warn("time step exceeds the velocity-Verlet stability bound "
                       "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
-    x_rec, v_rec = state.x[member], state.v[member]
-    # a copy (advanced indexing) would not be the recorded ring; a row would be no state
-    if x_rec.shape[-2:] != state.x.shape[-2:] or not np.may_share_memory(x_rec, state.x):
-        raise ValueError("member must be a basic index into the leading axes")
     n = state.n_sites
-    mp = discrete_dispersion(2 * math.pi * np.fft.rfftfreq(n, params.a), params)
-    theta = dt * verlet_frequency(np.stack([mp.omega_acoustic, mp.omega_optical]) + 0j, dt)
+    omega, vecs = discrete_dispersion(2 * math.pi * np.fft.rfftfreq(n, params.a), params)
+    theta = dt * verlet_frequency(omega + 0j, dt)
     if not theta.imag.any():  # every mode within the stability bound: real arithmetic
         theta = theta.real
-    vec = np.stack([mp.eigvec_acoustic.T, mp.eigvec_optical.T], axis=1)  # [species, branch, k]
+    vec = vecs.transpose(2, 0, 1).copy()  # [species, branch, k], contiguous
     (a0, o0), (a1, o1) = vec
     inv = np.array([[o1, -o0], [-a1, a0]]) / (a0 * o1 - o0 * a1)     # [branch, species, k]
 
@@ -237,15 +227,14 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
                 for y in (c * q + s * p, c * p - r * q)]
 
     times, t = _clock(state.t, dt, n_steps, record_every)
-    xs, vs = np.empty((2, len(times)) + x_rec.shape)
-    xs[0], vs[0] = x_rec, v_rec
-    q, p = modal(x_rec), modal(v_rec)
+    xs, vs = np.empty((2, len(times)) + state.x.shape)
+    xs[0], vs[0] = state.x, state.v
+    q, p = modal(state.x), modal(state.v)
     for j in range(1, len(times), _CHUNK):
         k = min(j + _CHUNK, len(times))
         xs[j:k], vs[j:k] = advance(q, p, record_every * np.arange(j, k))
-    x, v = (y[0] for y in advance(modal(state.x), modal(state.v), [n_steps]))
-    rec = LatticeState(xs, vs)  # the samples, as a stack of states
-    return times, rec.u, rec.U, rec.du_dt, rec.dU_dt, LatticeState(x, v, t)
+    x, v = (y[0] for y in advance(q, p, [n_steps]))
+    return times, LatticeState(xs, vs), LatticeState(x, v, t)
 
 
 def _spectral_peak(times: np.ndarray, signal: np.ndarray) -> float:
@@ -302,7 +291,7 @@ def convergence_exponent(params: ChainParams) -> float:
     """
     ka = np.asarray(CONVERGENCE_KA)
     k = ka / params.a
-    w2_disc = discrete_dispersion(k, params).omega_acoustic ** 2
+    w2_disc = discrete_dispersion(k, params)[0][0] ** 2
     w2_cont = continuum_dispersion(k, ContinuumParams.from_chain(params))[0]
     errs = np.abs(w2_disc - w2_cont) / np.abs(w2_cont)
     return float(np.polyfit(np.log(ka), np.log(errs), 1)[0])

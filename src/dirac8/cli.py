@@ -167,18 +167,17 @@ def cmd_chain(args) -> int:
         return 1
 
     k = 2 * math.pi * args.mode / (args.n * params.a)
-    mp = chain_mod.discrete_dispersion(k, params)
-    omega = mp.omega_acoustic if args.branch == "acoustic" else mp.omega_optical
+    omega = chain_mod.discrete_dispersion(k, params)[0][dispersion.KINDS.index(args.branch)]
     sim_time = args.periods * 2 * math.pi / omega if omega > 0 else 100 * dt
     if sim_time + dt == sim_time:  # the run would never end; this also bounds sim_time / dt
         raise _UsageError(f"chain: a step of {float(dt)!r} does not advance the clock at "
                           f"{float(sim_time)!r}; raise --dt or lower --periods")
     n_steps = max(int(sim_time / dt), 1)
     record_every = max(n_steps // 400, 1)
-    times, us, Us, dus, dUs, final = chain_mod.simulate(state, dt, n_steps, params,
-                                                        record_every=record_every)
+    times, samples, final = chain_mod.simulate(state, dt, n_steps, params,
+                                               record_every=record_every)
     try:  # the uniform translation mode (omega = 0) does not oscillate
-        measured = chain_mod.measure_mode_frequency(times, us[:, 0]) if omega > 0 else 0.0
+        measured = chain_mod.measure_mode_frequency(times, samples.u[:, 0]) if omega > 0 else 0.0
     except ValueError as exc:  # e.g. an amplitude so small that the displacements underflow
         print(f"chain: {exc}", file=sys.stderr)
         return 1
@@ -191,9 +190,9 @@ def cmd_chain(args) -> int:
     scales = chain_mod.characteristic_scales(params)
     sites = np.arange(args.n).astype("S")
     head = _header(_NATURAL, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"]
-    _write(args.output, _csv(head, us.shape, [
+    _write(args.output, _csv(head, samples.u.shape, [
         textfmt.cells(times)[:, None], sites.view(np.uint8).reshape(1, args.n, -1),
-        us, Us, dus, dUs]))
+        samples.u, samples.U, samples.du_dt, samples.dU_dt]))
 
     summary = {
         "mode_index": args.mode, "branch": args.branch, "wavenumber": k,
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_positive_float, default=1.0)
     p.add_argument("--mode", type=int, default=2)
     p.add_argument("--n", type=int, default=128, help="number of ring sites")
-    p.add_argument("--branch", choices=("acoustic", "optical"), default="optical")
+    p.add_argument("--branch", choices=dispersion.KINDS, default="optical")
     p.add_argument("--amplitude", type=_positive_float, default=1e-3)
     p.add_argument("--periods", type=_bounded(float, 3.0), default=8.0,
                    help="run length in periods; the frequency fit needs at least 3")

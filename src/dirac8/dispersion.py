@@ -21,6 +21,8 @@ OPTICAL_FORM_NOTE = (
     "(single momentum term), the form consistent with the determinant roots"
 )
 
+KINDS = ("acoustic", "optical")  # the order of ``modal_pair``'s roots, lower first
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -30,7 +32,7 @@ class Branch:
     energy_sign: int  # +1 | -1
 
     def __post_init__(self):
-        if self.kind not in ("acoustic", "optical"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown branch kind {self.kind!r}")
         if self.energy_sign not in (1, -1):
             raise ValueError("energy_sign must be +1 or -1")

@@ -159,8 +159,11 @@ def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: Cha
 
     The independent stepper of the time-domain chain checks and the tests'
     reference for ``chain.simulate``, which evaluates the same map in closed
-    form: same arguments, same checks, same (times, u, U, du_dt, dU_dt,
-    final_state).  Each operation is elementwise and the accelerations
+    form: same checks, same (times, samples, final_state).  One more argument,
+    member, records only ``x[member]`` and ``v[member]`` of a stack, so the
+    samples have shape (len(times),) + x[member].shape; member is a basic
+    index (ints and slices) into the leading axes, and the default () records
+    the whole state.  Each operation is elementwise and the accelerations
     depend on x alone, so every ring of a stack is bit-identical to its lone
     run, and a run split into two calls equals the unsplit one.
 
@@ -226,8 +229,7 @@ def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: Cha
         if i % record_every == 0:
             j = i // record_every
             times[j], xs[j], vs[j] = t, x_rec, v_rec
-    rec = chain.LatticeState(xs, vs)  # the samples, as a stack of states
-    return times, rec.u, rec.U, rec.du_dt, rec.dU_dt, chain.LatticeState(x.copy(), v, t)
+    return times, chain.LatticeState(xs, vs), chain.LatticeState(x.copy(), v, t)
 
 
 def _chain_checks(rep: VerificationReport) -> None:
@@ -237,8 +239,7 @@ def _chain_checks(rep: VerificationReport) -> None:
          abs(slope - 2.0), 0.2, f"fitted slope {slope:.4f}")
 
     n_sites, mode, drift_steps, amplitude = 64, 3, 10_000, 1e-3 * cp.a
-    mp = chain.discrete_dispersion(2 * math.pi * mode / (n_sites * cp.a), cp)
-    omega = mp.omega_optical
+    omega = chain.discrete_dispersion(2 * math.pi * mode / (n_sites * cp.a), cp)[0][1]
     runs = [chain.init_mode(n_sites, mode, amplitude, b, cp) for b in ("optical", "acoustic")]
     omega_max = chain.max_frequency(cp)
     dt = 0.01 / omega_max
@@ -246,8 +247,8 @@ def _chain_checks(rep: VerificationReport) -> None:
     # Step both runs as one (2, 2, n) stack, recording the optical one, then finish
     # the acoustic run alone; each equals its lone ``verlet_steps`` run bit for bit.
     start = chain.LatticeState(np.array([s.x for s in runs]), np.array([s.v for s in runs]))
-    times, us, *_, both = verlet_steps(start, dt, n_steps, cp, record_every=4, member=0)
-    measured = chain.measure_mode_frequency(times, us[:, 0])
+    times, samples, both = verlet_steps(start, dt, n_steps, cp, record_every=4, member=0)
+    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
     _add(rep, "time-domain mode frequency", "dispersion cross-validation",
          abs(measured - omega) / omega, 1e-4)
 

@@ -124,12 +124,12 @@ def test_criterion_08_chain_continuum_convergence():
 
     n, mode = 64, 3
     k = 2 * math.pi * mode / (n * cp.a)
-    omega = chain.discrete_dispersion(k, cp).omega_optical
+    omega = chain.discrete_dispersion(k, cp)[0][1]
     state = chain.init_mode(n, mode, 1e-3, "optical", cp)
     dt = 0.01 / chain.max_frequency(cp)
     n_steps = int(8 * 2 * math.pi / omega / dt)
-    times, us, *_ = chain.simulate(state, dt, n_steps, cp, record_every=4)
-    measured = chain.measure_mode_frequency(times, us[:, 0])
+    times, samples, _ = chain.simulate(state, dt, n_steps, cp, record_every=4)
+    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
     rel = abs(measured - omega) / omega
     elapsed = time.perf_counter() - t0
     _report(8, "chain-continuum convergence",

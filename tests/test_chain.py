@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dirac8 import chain, verify
+from dirac8 import chain, dispersion, verify
 from dirac8.cli import main
 from dirac8.params import ChainParams, ParameterError, characteristic_scales
 from dirac8.report import VerificationReport
@@ -103,10 +103,10 @@ def test_chain_params_reject_unrepresentable_scales(kwargs):
 
 
 def test_discrete_dispersion_at_zero():
-    mp = chain.discrete_dispersion(0.0, PARAMS)
-    assert mp.omega_acoustic == 0.0
-    assert mp.omega_optical == pytest.approx(math.sqrt(1.25))
-    assert np.allclose(mp.eigvec_acoustic, [1, 1] / np.sqrt(2))
+    omega, vecs = chain.discrete_dispersion(0.0, PARAMS)
+    assert omega[0] == 0.0
+    assert omega[1] == pytest.approx(math.sqrt(1.25))
+    assert np.allclose(vecs[0], [1, 1] / np.sqrt(2))
 
 
 def test_discrete_dispersion_matches_reference():
@@ -122,11 +122,11 @@ def test_discrete_dispersion_matches_reference():
                    ChainParams(m=1, M=1, K=1, I=1, J=1, a=1)):
         cases += [(0.0, params), (math.pi / params.a, params), (-math.pi / params.a, params)]
     for k, params in cases:
-        mp = chain.discrete_dispersion(k, params)
+        omega, vecs = chain.discrete_dispersion(k, params)
         w_ac, w_op, v_ac, v_op = _reference_discrete_dispersion(k, params)
-        assert mp.omega_acoustic == w_ac and mp.omega_optical == w_op
-        assert np.array_equal(mp.eigvec_acoustic, v_ac)
-        assert np.array_equal(mp.eigvec_optical, v_op)
+        assert omega[0] == w_ac and omega[1] == w_op
+        assert np.array_equal(vecs[0], v_ac)
+        assert np.array_equal(vecs[1], v_op)
 
 
 def test_discrete_dispersion_long_wave_limit():
@@ -137,7 +137,7 @@ def test_discrete_dispersion_long_wave_limit():
     v2 = (PARAMS.m * s.s_m**2 + PARAMS.M * s.s_M**2) / (PARAMS.m + PARAMS.M)
     for ka in (1e-3, 1e-4):
         k = ka / PARAMS.a
-        w = chain.discrete_dispersion(k, PARAMS).omega_acoustic
+        w = chain.discrete_dispersion(k, PARAMS)[0][0]
         assert w**2 == pytest.approx(v2 * k**2, rel=1e-5)
 
 
@@ -156,8 +156,8 @@ def test_init_mode_basic():
 def test_init_mode_eigvec_ratio():
     n = 64
     state = chain.init_mode(n, 1, 1e-3, "optical", PARAMS)
-    mp = chain.discrete_dispersion(2 * math.pi / (n * PARAMS.a), PARAMS)
-    expected = mp.eigvec_optical[0] / mp.eigvec_optical[1]
+    vec = chain.discrete_dispersion(2 * math.pi / (n * PARAMS.a), PARAMS)[1][1]
+    expected = vec[0] / vec[1]
     assert state.u[0] / state.U[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -200,7 +200,7 @@ def test_step_stability_warning():
 def test_mode_returns_after_period():
     n, mode = 32, 4
     k = 2 * math.pi * mode / (n * PARAMS.a)
-    omega = chain.discrete_dispersion(k, PARAMS).omega_acoustic
+    omega = chain.discrete_dispersion(k, PARAMS)[0][0]
     state = chain.init_mode(n, mode, 1e-3, "acoustic", PARAMS)
     period = 2 * math.pi / omega
     n_steps = 4000
@@ -233,31 +233,40 @@ def test_energy_drift_symplectic():
     assert abs(chain.total_energy(s, PARAMS) - e0) / e0 < 1e-6
 
 
-def _assert_close_to_loop(got, want, rel=1e-12):
-    """simulate's (times, u, U, du_dt, dU_dt, final) against the loop's, for the same run.
+def _assert_close_to_loop(start, got, want, member=(), rel=1e-12):
+    """simulate's (times, samples, final) against the loop's, for the same run from start.
 
-    The times are the loop's bit for bit; every state cell is within rel of the
-    largest entry of the loop's array (its amplitude).
+    simulate records the whole state and the loop only its member.  The times
+    are the loop's bit for bit; every cell of each row (u, U, du_dt, dU_dt) of
+    the samples, and of the final x and v, is within rel of the largest entry
+    of the loop's array (its amplitude).
     """
-    assert np.array_equal(got[0], want[0]) and got[5].t == want[5].t
-    for a, b in zip(got[1:5] + (got[5].x, got[5].v), want[1:5] + (want[5].x, want[5].v)):
+    (times, samples, final), (loop_times, loop_samples, loop_final) = got, want
+    assert samples.x.shape == (len(times),) + start.x.shape
+    assert np.array_equal(times, loop_times) and final.t == loop_final.t
+    lead = (slice(None),) + np.index_exp[member]
+    rec = chain.LatticeState(samples.x[lead], samples.v[lead])
+    for a, b in zip((rec.u, rec.U, rec.du_dt, rec.dU_dt, final.x, final.v),
+                    (loop_samples.u, loop_samples.U, loop_samples.du_dt, loop_samples.dU_dt,
+                     loop_final.x, loop_final.v)):
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= rel * np.abs(b).max()
-    assert not any(np.shares_memory(arr, rec) for arr in (got[5].x, got[5].v)
-                   for rec in got[1:5])
+    assert not any(np.shares_memory(arr, other) for arr in (final.x, final.v)
+                   for other in (samples.x, samples.v, start.x, start.v))
 
 
 def _assert_matches_reference(state, params, dt=0.05, n_steps=1200, every=7):
     """The verify loop equals the written-out reference bit for bit; simulate is within 1e-12."""
-    times, us, Us, dus, dUs, final = run = verify.verlet_steps(state, dt, n_steps, params,
-                                                               record_every=every)
+    times, samples, final = run = verify.verlet_steps(state, dt, n_steps, params,
+                                                      record_every=every)
     s = state
     expected = [(s.t, s.u, s.U, s.du_dt, s.dU_dt)]
     for i in range(1, n_steps + 1):
         s = _reference_step(s, dt, params)
         if i % every == 0:
             expected.append((s.t, s.u, s.U, s.du_dt, s.dU_dt))
-    for got, want in zip((times, us, Us, dus, dUs), zip(*expected)):
+    for got, want in zip((times, samples.u, samples.U, samples.du_dt, samples.dU_dt),
+                         zip(*expected)):
         assert np.array_equal(got, np.array(want))
     assert final.t == s.t and final.n_sites == s.n_sites
     assert np.array_equal(final.x, s.x) and np.array_equal(final.v, s.v)
@@ -265,8 +274,9 @@ def _assert_matches_reference(state, params, dt=0.05, n_steps=1200, every=7):
     assert final.x.flags.owndata and final.v.flags.owndata
     assert not np.shares_memory(final.x, final.v)
     assert not any(np.shares_memory(arr, rec) for arr in (final.x, final.v)
-                   for rec in (us, Us, dus, dUs))
-    _assert_close_to_loop(chain.simulate(state, dt, n_steps, params, record_every=every), run)
+                   for rec in (samples.x, samples.v))
+    _assert_close_to_loop(state, chain.simulate(state, dt, n_steps, params,
+                                                record_every=every), run)
 
 
 def test_simulate_matches_reference_steps():
@@ -321,10 +331,11 @@ def test_stacked_kernel_split_run_equals_unsplit():
 def test_stacked_kernel_records_one_member(member):
     states = [_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)]
     dt, n_steps, every = 0.05, 50, 4
-    times, *frames, _ = verify.verlet_steps(_stack(*states, t=1.0), dt, n_steps, PARAMS,
+    times, samples, _ = verify.verlet_steps(_stack(*states, t=1.0), dt, n_steps, PARAMS,
                                             record_every=every, member=member)
-    lone_times, *lone_frames, _ = verify.verlet_steps(states[member], dt, n_steps, PARAMS,
-                                                      record_every=every)
+    lone_times, lone, _ = verify.verlet_steps(states[member], dt, n_steps, PARAMS,
+                                              record_every=every)
+    frames, lone_frames = ((s.u, s.U, s.du_dt, s.dU_dt) for s in (samples, lone))
     assert np.array_equal(times, lone_times)
     assert all(f.shape == (n_steps // every + 1, 12) for f in frames)
     assert np.array_equal(frames, lone_frames)
@@ -340,11 +351,10 @@ def test_simulate_matches_verlet_steps(states, member, every):
     params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
     stack = _stack(*states, t=states[0].t)
     dt, n_steps = 0.05, 2000
-    got = chain.simulate(stack, dt, n_steps, params, record_every=every, member=member)
-    _assert_close_to_loop(got, verify.verlet_steps(stack, dt, n_steps, params,
-                                                   record_every=every, member=member))
-    assert not any(np.shares_memory(arr, got[5].x) or np.shares_memory(arr, got[5].v)
-                   for arr in (stack.x, stack.v))
+    got = chain.simulate(stack, dt, n_steps, params, record_every=every)
+    _assert_close_to_loop(stack, got, verify.verlet_steps(stack, dt, n_steps, params,
+                                                          record_every=every, member=member),
+                          member)
 
 
 @pytest.mark.parametrize("margin", [2.0, 2.5])
@@ -357,9 +367,9 @@ def test_simulate_at_and_past_the_stability_bound_matches_verlet_steps(margin):
     for stepper in (chain.simulate, verify.verlet_steps):
         with pytest.warns(RuntimeWarning, match="stability bound"):
             runs.append(stepper(state, dt, 12, PARAMS))
-    _assert_close_to_loop(*runs)
+    _assert_close_to_loop(state, *runs)
     if margin > 2:
-        assert np.abs(runs[0][5].x).max() > 1e3 * np.abs(state.x).max()
+        assert np.abs(runs[0][2].x).max() > 1e3 * np.abs(state.x).max()
 
 
 def test_simulate_translates_the_uniform_mode():
@@ -367,13 +377,13 @@ def test_simulate_translates_the_uniform_mode():
     x = np.full((2, 8), 0.3)
     v = np.full((2, 8), -1.7e-3)
     dt, n_steps = 0.01, 123_457
-    times, us, Us, dus, dUs, final = chain.simulate(chain.LatticeState(x, v), dt, n_steps,
-                                                    PARAMS, record_every=1000)
+    times, samples, final = chain.simulate(chain.LatticeState(x, v), dt, n_steps, PARAMS,
+                                           record_every=1000)
     steps = 1000 * np.arange(len(times))[:, None]
-    for got, want in ((us, 0.3 - 1.7e-3 * dt * steps), (Us, 0.3 - 1.7e-3 * dt * steps),
-                      (final.x, x + n_steps * dt * v)):
+    for got, want in ((samples.u, 0.3 - 1.7e-3 * dt * steps),
+                      (samples.U, 0.3 - 1.7e-3 * dt * steps), (final.x, x + n_steps * dt * v)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    for got in (dus, dUs, final.v):
+    for got in (samples.du_dt, samples.dU_dt, final.v):
         assert np.abs(got + 1.7e-3).max() <= 1e-16
 
 
@@ -384,14 +394,14 @@ def test_chain_checks_equal_two_lone_runs():
 
     # the two runs as separate ``verify.verlet_steps`` calls
     n_sites, mode = 64, 3
-    omega = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS).omega_optical
+    omega = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS)[0][1]
     omega_max = chain.max_frequency(PARAMS)
     dt = 0.01 / omega_max
     n_steps = int(8 * 2 * math.pi / omega / dt)
     optical = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
-    times, us, *_, optical_end = verify.verlet_steps(optical, dt, n_steps, PARAMS,
-                                                     record_every=4)
-    measured = chain.measure_mode_frequency(times, us[:, 0])
+    times, samples, optical_end = verify.verlet_steps(optical, dt, n_steps, PARAMS,
+                                                      record_every=4)
+    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
     acoustic = chain.init_mode(n_sites, mode, 1e-3, "acoustic", PARAMS)
     e0 = chain.total_energy(acoustic, PARAMS)
     *_, final = verify.verlet_steps(acoustic, dt, 10_000, PARAMS, record_every=10_000)
@@ -424,14 +434,15 @@ def test_simulate_matches_exact_verlet_rotation(branch):
     # x_j = x_0 cos(w~ j dt), for the closed form and for the stepping loop.
     # Settings of verify's frequency run.
     n_sites, mode = 64, 3
-    mp = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS)
-    omega = mp.omega_optical if branch == "optical" else mp.omega_acoustic
+    omegas = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS)[0]
+    omega = omegas[dispersion.KINDS.index(branch)]
     dt = 0.01 / chain.max_frequency(PARAMS)
-    n_steps = int(8 * 2 * math.pi / mp.omega_optical / dt)
+    n_steps = int(8 * 2 * math.pi / omegas[1] / dt)
     omega_verlet = chain.verlet_frequency(omega, dt)
     state = chain.init_mode(n_sites, mode, 1e-3, branch, PARAMS)
     for stepper in (chain.simulate, verify.verlet_steps):
-        _, us, Us, *_ = stepper(state, dt, n_steps, PARAMS, record_every=4)
+        _, samples, _ = stepper(state, dt, n_steps, PARAMS, record_every=4)
+        us, Us = samples.u, samples.U
         phase = np.cos(omega_verlet * dt * 4 * np.arange(len(us)))[:, None]
         err = max(np.abs(us - state.u * phase).max(), np.abs(Us - state.U * phase).max())
         assert err < 1e-10 * 1e-3
@@ -485,10 +496,10 @@ def _run_chain_cli(tmp_path, argv):
 def test_chain_cli_matches_verlet_steps(tmp_path, argv, n_sites, mode):
     s, t, cells = _run_chain_cli(tmp_path, argv)
     state = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
-    times, *loop, _ = verify.verlet_steps(state, s["dt"], s["n_steps"], PARAMS,
-                                          record_every=max(s["n_steps"] // 400, 1))
+    times, loop, _ = verify.verlet_steps(state, s["dt"], s["n_steps"], PARAMS,
+                                         record_every=max(s["n_steps"] // 400, 1))
     assert np.array_equal(t, np.repeat(times[:, None], n_sites, axis=1))
-    for got, want in zip(cells, loop):
+    for got, want in zip(cells, (loop.u, loop.U, loop.du_dt, loop.dU_dt)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -514,12 +525,12 @@ def test_chain_cli_long_acoustic_run_is_the_verlet_rotation(tmp_path):
 def test_simulate_record_every_not_dividing_n_steps():
     state = _random_state(8, t=1.0)
     dt = 0.1
-    times, us, Us, dus, dUs, final = chain.simulate(state, dt, 10, PARAMS, record_every=3)
+    times, samples, final = chain.simulate(state, dt, 10, PARAMS, record_every=3)
     # samples at steps 0, 3, 6, 9; step 10 ends the run unrecorded
     assert times == pytest.approx([1.0, 1.3, 1.6, 1.9], abs=1e-12)
-    assert all(a.shape == (4, 8) for a in (us, Us, dus, dUs))
+    assert all(a.shape == (4, 8) for a in (samples.u, samples.U, samples.du_dt, samples.dU_dt))
     assert final.t == pytest.approx(2.0, abs=1e-12)
-    assert not np.array_equal(final.u, us[-1])
+    assert not np.array_equal(final.u, samples.u[-1])
 
 
 def test_simulate_leaves_input_unchanged():
@@ -533,26 +544,26 @@ def test_simulate_leaves_input_unchanged():
 
 def test_simulate_rejects_bad_arguments():
     state = _random_state(8)
-    with pytest.raises(ValueError):
-        chain.simulate(state, 0.05, 10, PARAMS, record_every=0)
-    with pytest.raises(ValueError):
-        chain.simulate(state, 0.0, 10, PARAMS)
-    # member indexes the leading axes of a stack, and by view, not by copy
+    for stepper in (chain.simulate, verify.verlet_steps):
+        for dt, n_steps, every in ((0.05, 10, 0), (0.0, 10, 1), (0.05, -1, 1)):
+            with pytest.raises(ValueError):
+                stepper(state, dt, n_steps, PARAMS, record_every=every)
+    # the loop's member indexes the leading axes of a stack, and by view, not by copy
     stack = _stack(state, state)
     for bad, member in ((state, 0), (stack, [0]), (stack, np.array([True, False]))):
         with pytest.raises(ValueError):
-            chain.simulate(bad, 0.05, 10, PARAMS, member=member)
+            verify.verlet_steps(bad, 0.05, 10, PARAMS, member=member)
 
 
 def test_measure_mode_frequency_single_mode():
     n, mode = 64, 3
     k = 2 * math.pi * mode / (n * PARAMS.a)
-    omega = chain.discrete_dispersion(k, PARAMS).omega_optical
+    omega = chain.discrete_dispersion(k, PARAMS)[0][1]
     state = chain.init_mode(n, mode, 1e-3, "optical", PARAMS)
     dt = 0.01 / chain.max_frequency(PARAMS)
     n_steps = int(8 * 2 * math.pi / omega / dt)
-    times, us, *_ = chain.simulate(state, dt, n_steps, PARAMS, record_every=4)
-    measured = chain.measure_mode_frequency(times, us[:, 0])
+    times, samples, _ = chain.simulate(state, dt, n_steps, PARAMS, record_every=4)
+    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
     assert measured == pytest.approx(omega, rel=1e-4)
 
 
@@ -598,8 +609,8 @@ def test_kgf_limit_heavy_host():
     state = chain.init_mode(32, 2, 1e-3, "optical", params)
     dt = 0.01 / chain.max_frequency(params)
     n_steps = int(8 * 2 * math.pi / s.omega_O / dt)
-    times, us, Us, *_ = chain.simulate(state, dt, n_steps, params, record_every=4)
-    measured = chain.measure_mode_frequency(times, us[:, 0])
+    times, samples, _ = chain.simulate(state, dt, n_steps, params, record_every=4)
+    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
     eps = s.epsilon
     assert abs(measured - s.omega_O) / s.omega_O < eps**2 + 1e-4
-    assert np.abs(Us).max() < 0.05 * np.abs(us).max()
+    assert np.abs(samples.U).max() < 0.05 * np.abs(samples.u).max()

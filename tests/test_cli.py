@@ -136,8 +136,9 @@ def test_chain_csv_matches_rowwise_reference(tmp_path):
     s = json.loads(summ.read_text())
     params = ChainParams(m=1, M=2.5, K=1, I=0.7, J=1, a=1)
     state = chain.init_mode(16, 3, 1e-3, "optical", params)
-    times, *arrays, _ = chain.simulate(state, s["dt"], s["n_steps"], params,
+    times, samples, _ = chain.simulate(state, s["dt"], s["n_steps"], params,
                                        record_every=max(s["n_steps"] // 400, 1))
+    arrays = (samples.u, samples.U, samples.du_dt, samples.dU_dt)
     lines = ["# units: natural (hbar = c = m_e = 1)", f"# epsilon: {s['epsilon']!r}",
              "t,site,u,U,du_dt,dU_dt"]
     for f, t in enumerate(times.tolist()):

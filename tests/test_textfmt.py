@@ -172,8 +172,9 @@ def test_chain_file_is_the_repr_reference(tmp_path, argv, n, springs):
     params = ChainParams(**{"m": 1.0, "M": 4.0, "K": 1.0, "I": 1.0, "J": 1.0, "a": 1.0,
                             **springs})
     state = chain.init_mode(n, s["mode_index"], 1e-3, s["branch"], params)
-    times, *arrays, _ = chain.simulate(state, s["dt"], s["n_steps"], params,
+    times, samples, _ = chain.simulate(state, s["dt"], s["n_steps"], params,
                                        record_every=max(s["n_steps"] // 400, 1))
+    arrays = (samples.u, samples.U, samples.du_dt, samples.dU_dt)
     sites = list(map(str, range(n)))
     frames = ((([repr(t)] * n, sites), sample) for t, *sample in zip(times.tolist(), *arrays))
     head = ["# units: natural (hbar = c = m_e = 1)", f"# epsilon: {s['epsilon']!r}",
