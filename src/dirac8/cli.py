@@ -62,11 +62,10 @@ _NATURAL = "natural (hbar = c = m_e = 1)"
 
 
 def _unit_params(args, epsilon) -> tuple[QuantumParams, str]:
-    """The parameters the unit flags select at this epsilon, and their line for ``_header``."""
-    if args.units == "natural":
-        return QuantumParams(epsilon=epsilon), _NATURAL
-    return (QuantumParams(m_e=args.m_e, epsilon=epsilon, c=args.c, hbar=args.hbar),
-            f"custom (m_e={args.m_e!r}, c={args.c!r}, hbar={args.hbar!r})")
+    """The parameters the unit flags give at this epsilon, and their line for ``_header``."""
+    units = (_NATURAL if (args.m_e, args.c, args.hbar) == (1.0, 1.0, 1.0)
+             else f"custom (m_e={args.m_e!r}, c={args.c!r}, hbar={args.hbar!r})")
+    return QuantumParams(m_e=args.m_e, epsilon=epsilon, c=args.c, hbar=args.hbar), units
 
 
 def _header(units: str, epsilon) -> list[str]:
@@ -117,11 +116,9 @@ def _write(path, chunks) -> None:
 
 
 def _add_unit_flags(p) -> None:
-    p.add_argument("--units", choices=("natural", "custom"), default="natural")
-    p.add_argument("--m-e", type=_positive_float, default=1.0, help="rest mass (custom units)")
-    p.add_argument("--c", type=_positive_float, default=1.0, help="speed of light (custom units)")
-    p.add_argument("--hbar", type=_positive_float, default=1.0,
-                   help="reduced Planck constant (custom units)")
+    p.add_argument("--m-e", type=_positive_float, default=1.0, help="rest mass")
+    p.add_argument("--c", type=_positive_float, default=1.0, help="speed of light")
+    p.add_argument("--hbar", type=_positive_float, default=1.0, help="reduced Planck constant")
 
 
 def cmd_dispersion(args) -> int:
@@ -246,6 +243,9 @@ def cmd_evolve(args) -> int:
     if args.t_total * args.t_total == 0:  # the centroid fit scales the times by their norm
         raise _UsageError(f"evolve: --t-total {args.t_total!r} is too short to square")
     dt = args.t_total / args.samples
+    if qp.c * dt >= args.L / 2:  # no branch outruns c, so this bounds a step's travel
+        raise _UsageError(f"evolve: a packet can travel c * t_total / samples = {qp.c * dt!r}, "
+                          "at least L/2, between samples; raise --samples")
     snapshots = [state0]
     times = [0.0]
     positions = [evolution.packet_centroid(state0)]

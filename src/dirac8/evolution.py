@@ -14,7 +14,8 @@ acoustic vectors stay independent by construction.  It is the only propagator
 the library has; the tests cross-check it with an RK4 method-of-lines stepper
 on the assembled sector matrices.  The second-order system x'' = -D x
 evolves per mode by its closed-form propagator in cos and sinc of the roots
-of D.
+of D.  Both systems have four rows per grid point and share one state type,
+``FieldState(fields, L, t)``.
 """
 
 from __future__ import annotations
@@ -31,20 +32,24 @@ from .params import ContinuumParams, QuantumParams
 
 @dataclass
 class FieldState:
-    """Four complex component arrays of one spin sector on a periodic grid.
+    """Four complex rows on a periodic grid of n_grid points, fields of shape (4, n_grid).
 
-    Component order (Psi_1, Psi_3, Phi_1, Phi_3); the opposite spin sector is
-    the same system under the index relabeling.
+    For ``evolve`` the rows are one spin sector's (Psi_1, Psi_3, Phi_1, Phi_3);
+    the opposite spin sector is the same system under the index relabeling.
+    For ``evolve_kgf`` they are (psi, phi, dpsi/dt, dphi/dt).
     """
 
-    n_grid: int
+    fields: np.ndarray
     L: float
-    fields: np.ndarray  # shape (4, n_grid), complex
     t: float = 0.0
 
     def __post_init__(self):
-        if self.fields.shape != (4, self.n_grid):
+        if self.fields.ndim != 2 or self.fields.shape[0] != 4:
             raise ValueError("fields must have shape (4, n_grid)")
+
+    @property
+    def n_grid(self) -> int:
+        return self.fields.shape[-1]
 
     @property
     def dz(self) -> float:
@@ -53,24 +58,6 @@ class FieldState:
     @property
     def z(self) -> np.ndarray:
         return self.dz * np.arange(self.n_grid)
-
-
-@dataclass
-class KgfFieldState:
-    """State of the coupled second-order system: both fields and their time derivatives."""
-
-    n_grid: int
-    L: float
-    psi: np.ndarray
-    phi: np.ndarray
-    dpsi_dt: np.ndarray
-    dphi_dt: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("psi", "phi", "dpsi_dt", "dphi_dt"):
-            if getattr(self, name).shape != (self.n_grid,):
-                raise ValueError(f"{name} must have shape (n_grid,)")
 
 
 @dataclass(frozen=True)
@@ -117,7 +104,7 @@ def init_packet(spec: PacketSpec, n_grid: int, L: float,
     if peak == 0:
         raise ValueError("packet has no weight on the grid: k0 lies far outside its band")
     fields /= peak
-    return FieldState(n_grid=n_grid, L=L, fields=fields)
+    return FieldState(fields, L)
 
 
 def _project(state: FieldState, Lt: np.ndarray) -> np.ndarray:
@@ -125,34 +112,24 @@ def _project(state: FieldState, Lt: np.ndarray) -> np.ndarray:
     return np.einsum("kji,ik->kj", Lt, np.fft.fft(state.fields, axis=1))
 
 
-def _modal_propagator(state: FieldState, params: QuantumParams):
-    """Project the state onto the branch modes once; return t -> state at state.t + t.
-
-    Each call is then a phase multiply, a reconstruction with R and one
-    inverse FFT.
-    """
-    E, R, Lt = modes(_wavenumbers(state.n_grid, state.L), params)
-    x = _project(state, Lt)
-
-    def at(t: float) -> FieldState:
-        coeffs = np.einsum("kij,kj->ik", R, x * np.exp((-1j * t / params.hbar) * E))
-        return FieldState(state.n_grid, state.L, np.fft.ifft(coeffs, axis=1),
-                          state.t + t)
-
-    return at
-
-
 def evolve(state: FieldState, dt: float, n_steps: int, params: QuantumParams) -> FieldState:
-    """Advance the sector field by dt * n_steps, in one shot of the exact modal propagator."""
-    return _modal_propagator(state, params)(dt * n_steps)
+    """Advance the sector field by dt * n_steps, as the single sample of ``evolve_samples``."""
+    return next(evolve_samples(state, dt * n_steps, 1, params))
 
 
 def evolve_samples(state: FieldState, dt: float, n_samples: int,
                    params: QuantumParams) -> Iterator[FieldState]:
-    """Yield the states at state.t + i * dt, i = 1 .. n_samples, from one modal projection."""
-    at = _modal_propagator(state, params)
+    """Yield the states at state.t + i * dt, i = 1 .. n_samples, from one modal projection.
+
+    Each sample is then a phase multiply, a reconstruction with R and one
+    inverse FFT.
+    """
+    E, R, Lt = modes(_wavenumbers(state.n_grid, state.L), params)
+    x = _project(state, Lt)
     for i in range(1, n_samples + 1):
-        yield at(i * dt)
+        t = i * dt
+        coeffs = np.einsum("kij,kj->ik", R, x * np.exp((-1j * t / params.hbar) * E))
+        yield FieldState(np.fft.ifft(coeffs, axis=1), state.L, state.t + t)
 
 
 def packet_centroid(state: FieldState) -> float:
@@ -216,14 +193,6 @@ def measure_group_velocity(spec: PacketSpec, params: QuantumParams,
     return slope
 
 
-def init_kgf_from_fields(psi, phi, dpsi_dt, dphi_dt, L: float) -> KgfFieldState:
-    psi = np.asarray(psi, dtype=complex)
-    return KgfFieldState(n_grid=len(psi), L=L, psi=psi,
-                         phi=np.asarray(phi, dtype=complex),
-                         dpsi_dt=np.asarray(dpsi_dt, dtype=complex),
-                         dphi_dt=np.asarray(dphi_dt, dtype=complex))
-
-
 def _kgf_propagator(ks: np.ndarray, T: float, params: ContinuumParams) -> np.ndarray:
     """P(T) = [[C, S], [-D S, C]] on (psi, phi, psi', phi') per wavenumber, (n, 4, 4).
 
@@ -255,14 +224,12 @@ def _kgf_propagator(ks: np.ndarray, T: float, params: ContinuumParams) -> np.nda
     return np.block([[C, S], [-(D @ S), C]])
 
 
-def evolve_kgf(state: KgfFieldState, T: float, params: ContinuumParams) -> KgfFieldState:
+def evolve_kgf(state: FieldState, T: float, params: ContinuumParams) -> FieldState:
     """Exact per-mode evolution of the coupled second-order system.
 
     Each Fourier mode of x = (psi, phi) obeys x'' = -D x, D = [[s_m^2 k^2 + w_O^2,
     -w_O^2], [-w_A^2, s_M^2 k^2 + w_A^2]]: FFT, closed-form P(T) (``_kgf_propagator``), IFFT.
     """
     P = _kgf_propagator(_wavenumbers(state.n_grid, state.L), T, params)
-    coeffs = np.fft.fft([state.psi, state.phi, state.dpsi_dt, state.dphi_dt])
-    psi, phi, dpsi_dt, dphi_dt = np.fft.ifft(np.einsum("kij,jk->ik", P, coeffs))
-    return KgfFieldState(n_grid=state.n_grid, L=state.L, psi=psi, phi=phi,
-                         dpsi_dt=dpsi_dt, dphi_dt=dphi_dt, t=state.t + T)
+    coeffs = np.einsum("kij,jk->ik", P, np.fft.fft(state.fields))
+    return FieldState(np.fft.ifft(coeffs), state.L, state.t + T)

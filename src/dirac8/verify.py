@@ -279,7 +279,7 @@ def _evolution_checks(rep: VerificationReport, qp: QuantumParams) -> None:
     z = L / n_grid * np.arange(n_grid)
     wave = np.exp(1j * k0 * z)
     fields = np.outer(sol.sector_amplitudes, wave)
-    state = evolution.FieldState(n_grid=n_grid, L=L, fields=fields)
+    state = evolution.FieldState(fields, L)
     T = 7.3
     out = evolution.evolve(state, T, 1, qp)
     expected = fields * np.exp(-1j * sol.E * T / qp.hbar)

@@ -160,7 +160,7 @@ def test_criterion_10_spectral_exact_and_rk4():
     sol = pw.build_solution(OPTICAL_PLUS, "up", QP.hbar * k0, QP)
     z = L / n * np.arange(n)
     fields = np.outer(sol.amplitudes[[0, 2, 4, 6]], np.exp(1j * k0 * z))
-    state = evo.FieldState(n_grid=n, L=L, fields=fields)
+    state = evo.FieldState(fields, L)
     T = 7.3
     out = evo.evolve(state, T, 1, QP)
     phase_err = np.max(np.abs(out.fields - fields * np.exp(-1j * sol.E * T))) \

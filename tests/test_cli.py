@@ -59,6 +59,14 @@ def test_dispersion_usage_error():
     assert main(["dispersion", "--pmax", "-1"]) == 2
 
 
+def test_unit_flags_alone_select_the_units(capsys):
+    # the three numbers are the unit system: --m-e 2 doubles the gap at p_z = 0
+    assert main(["dispersion", "--m-e", "2", "--n", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# units: custom (m_e=2.0, c=1.0, hbar=1.0)"
+    assert lines[4].split(",")[:4] == ["0.0", "0.0", "-0.0", "2.23606797749979"]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     for argv in ([], ["no-such-command"], ["--bogus"]):
         assert main(argv) == 2
@@ -298,8 +306,8 @@ def test_evolve_deterministic(tmp_path):
     ["solutions", "--epsilon", "-1"],
     ["verify", "--epsilon", "-1"],
     ["evolve", "--epsilon", "-1"],
-    ["evolve", "--units", "custom", "--c", "0"],
-    ["evolve", "--units", "custom", "--hbar", "nan"],
+    ["evolve", "--c", "0"],
+    ["evolve", "--hbar", "nan"],
     ["evolve", "--t-total", "0"],
     ["evolve", "--samples", "1" + "0" * 400],
     ["evolve", "--n-grid", "0"],
@@ -320,20 +328,22 @@ def test_evolve_deterministic(tmp_path):
     ["chain", "--periods", "2.5"],
     ["dispersion", "--epsilon", "1e300"],
     ["verify", "--epsilon", "1e300"],
-    ["dispersion", "--units", "custom", "--c", "1e200"],
+    ["dispersion", "--c", "1e200"],
     ["chain", "--m", "1e-300", "--K", "1e300", "--n", "8", "--mode", "1"],
     ["chain", "--m", "1e300", "--M", "1e300", "--K", "1e-300", "--I", "0", "--J", "0"],
     ["chain", "--a", "1e200"],  # the continuum speeds squared overflow
-    ["evolve", "--units", "custom", "--hbar", "1e-320"],
+    ["evolve", "--hbar", "1e-320"],
     ["verify", "--corrupt", "foo"],
     ["evolve", "--sigma", "1e160", "--L", "1e162", "--center", "0"],
-    ["evolve", "--units", "custom", "--m-e", "1e-320"],
+    ["evolve", "--m-e", "1e-320"],
     ["dispersion", "--pmax", "1e300"],
-    ["dispersion", "--units", "custom", "--m-e", "1e154", "--epsilon", "0", "--pmax", "1.3e154"],
+    ["dispersion", "--m-e", "1e154", "--epsilon", "0", "--pmax", "1.3e154"],
     ["chain", "--K", "1e-320", "--I", "0", "--J", "0", "--n", "8", "--mode", "2"],
     ["verify", "--units", "natural"],  # verify and chain run in natural units only
     ["verify", "--c", "2"],
     ["chain", "--units", "natural"],
+    ["evolve", "--units", "custom"],  # the unit system is --m-e, --c and --hbar alone
+    ["evolve", "--samples", "1", "--t-total", "400"],  # c dt >= L/2: the track cannot unwrap
     ["evolve", "--method", "spectral"],  # evolve always uses the exact propagator
     ["chain", "--dt", "5e-324"],  # the step count overflows a float
     ["evolve", "--L", "5e-324"],  # the Nyquist wavenumber overflows
@@ -383,8 +393,8 @@ def _choice(*values):
     return st.one_of(st.sampled_from(values), _JUNK)
 
 
-_UNITS = {"--units": _choice("natural", "custom"), "--m-e": _NUMBER, "--c": _NUMBER,
-          "--hbar": _NUMBER}
+_UNITS = {"--m-e": _NUMBER, "--c": _NUMBER, "--hbar": _NUMBER}
+_UNIT_SYSTEM = {"--units": _choice("natural", "custom")}
 _BRANCHES = ("acoustic+", "acoustic-", "optical+", "optical-")
 # --n, --n-grid, --samples, --periods and --t-total are bounded only to keep the runs short
 _FLAGS = {
@@ -401,9 +411,10 @@ _FLAGS = {
                "--samples": _small_int(8),
                "--t-total": st.one_of(st.floats(-1, 50).map(repr), _JUNK), **_UNITS},
 }
-# flags that verify, chain and evolve do not take: drawing one must exit 2
-_REMOVED = {"verify": {**_UNITS, "--fast": None}, "chain": {"--units": _choice("natural")},
-            "evolve": {"--method": _choice("spectral", "rk4")}}
+# flags that the subcommands do not take: drawing one must exit 2
+_REMOVED = {"dispersion": _UNIT_SYSTEM, "verify": {**_UNITS, **_UNIT_SYSTEM, "--fast": None},
+            "chain": _UNIT_SYSTEM, "solutions": _UNIT_SYSTEM,
+            "evolve": {**_UNIT_SYSTEM, "--method": _choice("spectral", "rk4")}}
 _OUTPUTS = {"dispersion": ("-o",), "verify": ("-o",), "chain": ("-o", "--summary"),
             "solutions": ("-o",), "evolve": ("-o", "--summary")}
 _MAX_CHAIN_STEPS = 10**6
@@ -475,11 +486,11 @@ class _ReadRecorder(argparse.Namespace):
 
 
 @pytest.mark.parametrize("argv", [
-    ["dispersion", "--units", "custom", "--n", "5"],
+    ["dispersion", "--n", "5"],
     ["verify"],
     ["chain", "--n", "8", "--periods", "3", "--summary", "summary.json"],
-    ["solutions", "--units", "custom"],
-    ["evolve", "--units", "custom", "--n-grid", "256", "--samples", "2",
+    ["solutions"],
+    ["evolve", "--n-grid", "256", "--samples", "2",
      "--summary", "summary.json"],
 ])
 def test_every_flag_reaches_its_handler(argv, tmp_path, monkeypatch, capsys):
