@@ -5,15 +5,12 @@ eight-component first-order relativistic system, all four dispersion branches
 with plane-wave solutions, and 1-D time evolution.
 """
 
-from .params import (ChainParams, CharacteristicScales, ContinuumParams,
-                     QuantumParams, characteristic_scales)
+from .params import ChainParams, ContinuumParams, QuantumParams
 
 __all__ = [
     "ChainParams",
-    "CharacteristicScales",
     "ContinuumParams",
     "QuantumParams",
-    "characteristic_scales",
 ]
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import KINDS, continuum_dispersion, modal_pair
-from .params import ChainParams, ContinuumParams, characteristic_scales
+from .params import ChainParams, ContinuumParams
 
 CONVERGENCE_KA = (0.2, 0.1, 0.05, 0.025)  # the k a of ``convergence_exponent``'s fit
 
@@ -60,11 +60,9 @@ def discrete_dispersion(k, params: ChainParams):
     eigenvectors (b, d) shape (2, ..., 2), both indexed by branch in
     ``dispersion.KINDS`` order, acoustic first.
     """
-    s = characteristic_scales(params)
     sin2 = np.sin(0.5 * k * params.a) ** 2
-    w_O2, w_A2 = s.omega_O**2, s.omega_A**2
-    W, vecs = modal_pair(w_O2 + 4 * s.omega_m**2 * sin2, w_A2 + 4 * s.omega_M**2 * sin2,
-                         w_O2, w_A2)
+    W, vecs = modal_pair(4 * params.omega_m**2 * sin2, 4 * params.omega_M**2 * sin2,
+                         params.omega_O**2, params.omega_A**2)
     return np.sqrt(W), vecs
 
 

@@ -50,12 +50,16 @@ _nonnegative_float = _bounded(float, 0.0)
 
 
 class _UsageError(Exception):
-    """The arguments are unusable; ``main`` reports it on one line and returns 2."""
+    """The arguments are unusable; ``main`` writes the message on one error line, returns 2."""
+
+
+class _RunError(Exception):
+    """The run failed; ``main`` writes the message on one error line and returns 1."""
 
 
 class _SubcommandParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _UsageError(message)
 
 
 _NATURAL = "natural (hbar = c = m_e = 1)"
@@ -126,7 +130,7 @@ def cmd_dispersion(args) -> int:
     base, units = _unit_params(args, max(eps_list))
     # the largest energy in the table is the optical one at pmax and the largest epsilon
     if not math.isfinite(dispersion.branch_energy(dispersion.OPTICAL_PLUS, args.pmax, base)):
-        raise _UsageError(f"dispersion: the optical energy at --pmax {args.pmax!r} overflows")
+        raise _UsageError(f"the optical energy at --pmax {args.pmax!r} overflows")
     grid = np.linspace(-args.pmax, args.pmax, args.n)
     _write(args.output, itertools.chain.from_iterable(
         _csv(_header(units, eps) + [",".join(dispersion.FIGURE2_COLUMNS)], grid.shape,
@@ -154,20 +158,18 @@ def cmd_chain(args) -> int:
     try:
         state = chain_mod.init_mode(args.n, args.mode, args.amplitude, args.branch, params)
     except ValueError as exc:
-        raise _UsageError(f"chain: {exc}") from None
+        raise _UsageError(str(exc)) from None
     omega_max = chain_mod.max_frequency(params)
     dt = args.dt if args.dt is not None else 0.01 / omega_max
     margin = dt * omega_max
     if margin >= 2.0:
-        print("chain: time step violates the stability bound dt * omega_max < 2",
-              file=sys.stderr)
-        return 1
+        raise _RunError("time step violates the stability bound dt * omega_max < 2")
 
     k = 2 * math.pi * args.mode / (args.n * params.a)
     omega = chain_mod.discrete_dispersion(k, params)[0][dispersion.KINDS.index(args.branch)]
     sim_time = args.periods * 2 * math.pi / omega if omega > 0 else 100 * dt
     if sim_time + dt == sim_time:  # the run would never end; this also bounds sim_time / dt
-        raise _UsageError(f"chain: a step of {float(dt)!r} does not advance the clock at "
+        raise _UsageError(f"a step of {float(dt)!r} does not advance the clock at "
                           f"{float(sim_time)!r}; raise --dt or lower --periods")
     n_steps = max(int(sim_time / dt), 1)
     record_every = max(n_steps // 400, 1)
@@ -176,17 +178,15 @@ def cmd_chain(args) -> int:
     try:  # the uniform translation mode (omega = 0) does not oscillate
         measured = chain_mod.measure_mode_frequency(times, samples.u[:, 0]) if omega > 0 else 0.0
     except ValueError as exc:  # e.g. an amplitude so small that the displacements underflow
-        print(f"chain: {exc}", file=sys.stderr)
-        return 1
+        raise _RunError(str(exc)) from None
 
     # the summary's arithmetic runs before any output, so an overflow in it leaves no file
     slope = chain_mod.convergence_exponent(params) if min(params.I, params.J) > 0 else None
     e0, e1 = (chain_mod.total_energy(s, params) for s in (state, final))
     h0, h1 = (chain_mod.modified_energy(s, dt, params) for s in (state, final))
     omega_verlet = float(chain_mod.verlet_frequency(omega, dt))
-    scales = chain_mod.characteristic_scales(params)
     sites = np.arange(args.n).astype("S")
-    head = _header(_NATURAL, scales.epsilon) + ["t,site,u,U,du_dt,dU_dt"]
+    head = _header(_NATURAL, params.epsilon) + ["t,site,u,U,du_dt,dU_dt"]
     _write(args.output, _csv(head, samples.u.shape, [
         textfmt.cells(times)[:, None], sites.view(np.uint8).reshape(1, args.n, -1),
         samples.u, samples.U, samples.du_dt, samples.dU_dt]))
@@ -196,7 +196,7 @@ def cmd_chain(args) -> int:
         "omega_dispersion": omega, "omega_measured": measured,
         "relative_error": abs(measured - omega) / omega if omega > 0 else 0.0,
         "continuum_convergence_exponent": slope,
-        "epsilon": scales.epsilon,
+        "epsilon": params.epsilon,
         "dt": dt, "n_steps": n_steps, "stability_margin": margin,
         "relative_energy_drift": abs(e1 - e0) / e0 if e0 > 0 else None,
         "omega_verlet": omega_verlet,
@@ -238,13 +238,13 @@ def cmd_evolve(args) -> int:
                                     center=args.center)
         state0 = evolution.init_packet(spec, args.n_grid, args.L, qp)
     except ValueError as exc:
-        raise _UsageError(f"evolve: {exc}") from None
+        raise _UsageError(str(exc)) from None
 
     if args.t_total * args.t_total == 0:  # the centroid fit scales the times by their norm
-        raise _UsageError(f"evolve: --t-total {args.t_total!r} is too short to square")
+        raise _UsageError(f"--t-total {args.t_total!r} is too short to square")
     dt = args.t_total / args.samples
     if qp.c * dt >= args.L / 2:  # no branch outruns c, so this bounds a step's travel
-        raise _UsageError(f"evolve: a packet can travel c * t_total / samples = {qp.c * dt!r}, "
+        raise _UsageError(f"a packet can travel c * t_total / samples = {qp.c * dt!r}, "
                           "at least L/2, between samples; raise --samples")
     snapshots = [state0]
     times = [0.0]
@@ -263,7 +263,7 @@ def cmd_evolve(args) -> int:
         *intensities]))
 
     v_meas, _ = evolution.centroid_velocity(times, positions, args.L)
-    v_ref = dispersion.group_velocity(branch, args.k0, qp) if args.k0 != 0 else 0.0
+    v_ref = dispersion.group_velocity(branch, args.k0, qp) + 0.0  # writes optical- -0.0 as 0.0
     summary = {
         "branch": branch.label, "k0": args.k0, "epsilon": args.epsilon,
         "measured_group_velocity": v_meas, "analytic_group_velocity": v_ref,
@@ -342,26 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a failure writes one ``dirac8 <command>: error: …`` line."""
+    args = argparse.Namespace(command=None)  # the subcommand is named before its flags parse
     try:
         # unknown flags are reported on one line, like the subcommands' other usage errors
-        args, unknown = build_parser().parse_known_args(argv)
+        _, unknown = build_parser().parse_known_args(argv, args)
         if unknown:
-            raise _UsageError(f"dirac8 {args.command}: error: unrecognized arguments: "
-                              + " ".join(unknown))
+            raise _UsageError("unrecognized arguments: " + " ".join(unknown))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except ParameterError as exc:  # flags that pass argparse but give no usable parameter set
-        print(f"dirac8 {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+    except (_UsageError, ParameterError) as exc:  # bad flags, or no usable parameter set
+        message, code = exc, 2
     except FloatingPointError as exc:  # an input whose arithmetic leaves the float range
-        print(f"dirac8 {args.command}: error: out of float range: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"out of float range: {exc}", 2
+    except _RunError as exc:
+        message, code = exc, 1
     except BrokenPipeError:  # the reader closed stdout; keep the exit-time flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    prog = f"dirac8 {args.command}" if args.command else "dirac8"
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,15 +57,19 @@ def parse_branch(label: str) -> Branch:
     raise ValueError(f"unknown branch label {label!r}")
 
 
-def modal_pair(a, b, omega_O2, omega_A2):
-    """Roots W = Omega^2 and unit eigenvectors of D = [[a, -omega_O2], [-omega_A2, b]].
+def modal_pair(p, q, omega_O2, omega_A2):
+    """Roots W = Omega^2 and unit eigenvectors of the matrix D of x'' = -D x.
 
-    D is the matrix of x'' = -D x in the chain, continuum and second-order
-    systems; its entries are non-negative floats or broadcastable arrays.
+    D = [[p + omega_O2, -omega_O2], [-omega_A2, q + omega_A2]] in the chain,
+    continuum and second-order systems, which differ only in the wavenumber
+    parts p, q: 4 omega_m^2 sin^2(k a / 2) and 4 omega_M^2 sin^2(k a / 2) on
+    the chain, s_m^2 k^2 and s_M^2 k^2 in the continuum.  All four arguments
+    are non-negative floats or broadcastable arrays.
     Returns W (2, ...) ascending, W- clipped at 0, and vecs (2, ..., 2), each
     orthogonal to the row of D - W with the larger largest entry, its larger
     component (the first on a tie) positive; nan where D is a multiple of I.
     """
+    a, b = p + omega_O2, q + omega_A2
     half = 0.5 * (a + b)  # on floats half**2 is libm pow, as in the scalar reference test
     disc = np.sqrt(np.maximum(half**2 - (a * b - omega_O2 * omega_A2), 0.0))
     W = np.stack([np.maximum(half - disc, 0.0), half + disc])
@@ -85,8 +89,8 @@ def continuum_dispersion(k, params: ContinuumParams) -> np.ndarray:
     in W = Omega^2, shape (2, ...) for a float or array k.  For s_m = s_M = c
     these are exactly c^2 k^2 and c^2 k^2 + w_O^2 + w_A^2.
     """
-    w_O2, w_A2 = params.omega_O**2, params.omega_A**2
-    return modal_pair(params.s_m**2 * k**2 + w_O2, params.s_M**2 * k**2 + w_A2, w_O2, w_A2)[0]
+    return modal_pair(params.s_m**2 * k**2, params.s_M**2 * k**2,
+                      params.omega_O**2, params.omega_A**2)[0]
 
 
 def dirac_determinant(E: float, p_z: float, params: QuantumParams) -> float:

@@ -6,13 +6,13 @@ Fourier mode.  The eigensystem of the 4x4 momentum-space sector matrix H(k)
 is known in closed form (``dispersion.modes``): the four branch energies, the
 unit right eigenvectors R and the dual left rows Lt with Lt R = I.  H is
 pseudo-Hermitian, eta H = H^T eta with eta = diag(eps^2, eps^2, 1, 1), so each
-left row is eta times its right vector up to scale.  The default propagator
-projects the Fourier coefficients with Lt, advances each branch by its phase
-exp(-i E t / hbar) and reconstructs with R.  No numerical eigen-solve is
-involved, and at k = 0, where the acoustic energies coincide, the two
-acoustic vectors stay independent by construction.  It is the only propagator
-the library has; the tests cross-check it with an RK4 method-of-lines stepper
-on the assembled sector matrices.  The second-order system x'' = -D x
+left row is eta times its right vector up to scale.  The first-order system
+has one propagator: it projects the Fourier coefficients with Lt, advances
+each branch by its phase exp(-i E t / hbar) and reconstructs with R.  No
+numerical eigen-solve is involved, and at k = 0, where the acoustic energies
+coincide, the two acoustic vectors stay independent by construction.  The
+tests cross-check it with an RK4 method-of-lines stepper on the assembled
+sector matrices.  The second-order system x'' = -D x
 evolves per mode by its closed-form propagator in cos and sinc of the roots
 of D.  Both systems have four rows per grid point and share one state type,
 ``FieldState(fields, L, t)``.
@@ -206,8 +206,8 @@ def _kgf_propagator(ks: np.ndarray, T: float, params: ContinuumParams) -> np.nda
         return np.sin(x) / np.where(x == 0, 1.0, x) + (x == 0)
 
     w_O2, w_A2 = params.omega_O**2, params.omega_A**2
-    a, b = params.s_m**2 * ks**2 + w_O2, params.s_M**2 * ks**2 + w_A2
-    (lo, hi), _ = modal_pair(a, b, w_O2, w_A2)
+    p, q = params.s_m**2 * ks**2, params.s_M**2 * ks**2
+    (lo, hi), _ = modal_pair(p, q, w_O2, w_A2)
     r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
     s, d = 0.5 * T * (r_hi + r_lo), 0.5 * T * (r_hi - r_lo)
     c1_cos = -0.5 * T**2 * sinc(s) * sinc(d)
@@ -218,7 +218,8 @@ def _kgf_propagator(ks: np.ndarray, T: float, params: ContinuumParams) -> np.nda
     den = np.where(far, hi - lo, r_hi * r_lo)  # 0 only where W+ = 0: the limit -T^3 / 6
     c1_sin = np.divide(num, den, out=np.full_like(den, -T**3 / 6), where=den != 0)
     c0_sin = T * sinc(r_lo * T) - c1_sin * lo
-    D = np.array([[a, np.full_like(a, -w_O2)], [np.full_like(a, -w_A2), b]]).transpose(2, 0, 1)
+    D = np.array([[p + w_O2, np.full_like(p, -w_O2)],
+                  [np.full_like(p, -w_A2), q + w_A2]]).transpose(2, 0, 1)
     C = c0_cos[:, None, None] * np.eye(2) + c1_cos[:, None, None] * D
     S = c0_sin[:, None, None] * np.eye(2) + c1_sin[:, None, None] * D
     return np.block([[C, S], [-(D @ S), C]])

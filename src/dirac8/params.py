@@ -85,6 +85,11 @@ class ChainParams:
     I : spring constant between neighbouring small masses.
     J : spring constant between neighbouring large masses.
     a : lattice period.
+
+    The derived scales are properties: the coupling frequencies omega_O =
+    sqrt(K/m) and omega_A = sqrt(K/M), the same-mass frequencies omega_m =
+    sqrt(I/m) and omega_M = sqrt(J/M), the continuum speeds s_m = a omega_m
+    and s_M = a omega_M, and the mass ratio epsilon = sqrt(m/M).
     """
 
     m: float
@@ -99,46 +104,25 @@ class ChainParams:
             raise ParameterError("m, M, K and a must be positive")
         if self.I < 0 or self.J < 0:
             raise ParameterError("I and J must be non-negative")
-        s = characteristic_scales(self)
-        finite = all(math.isfinite(x * x) for x in vars(s).values())  # the dispersion squares them
+        scales = (self.omega_O, self.omega_A, self.omega_m, self.omega_M,
+                  self.s_m, self.s_M, self.epsilon)
+        finite = all(math.isfinite(x * x) for x in scales)  # the dispersion squares them
         # modal_pair multiplies entries of D: the couplings' squares must be normal floats,
         # and twice the square of the zone-edge trace, which bounds every entry and root, finite
-        w_O2, w_A2 = s.omega_O * s.omega_O, s.omega_A * s.omega_A
-        trace = w_O2 + w_A2 + 4 * (s.omega_m * s.omega_m + s.omega_M * s.omega_M)
+        w_O2, w_A2 = self.omega_O * self.omega_O, self.omega_A * self.omega_A
+        trace = w_O2 + w_A2 + 4 * (self.omega_m * self.omega_m + self.omega_M * self.omega_M)
         if not (finite and min(w_O2 * w_O2, w_A2 * w_A2) >= sys.float_info.min
                 and math.isfinite(2 * trace * trace) and math.isfinite(2 * math.pi / self.a)):
             raise ParameterError("derived scales must fit in a float: finite squares, normal "
                                  "omega_O^4 and omega_A^4, finite zone-edge D and 2 pi / a")
 
-
-@dataclass(frozen=True)
-class CharacteristicScales:
-    """Characteristic frequencies and speeds derived from chain parameters."""
-
-    omega_O: float
-    omega_A: float
-    omega_m: float
-    omega_M: float
-    s_m: float
-    s_M: float
-    epsilon: float
-
-
-def characteristic_scales(params: ChainParams) -> CharacteristicScales:
-    """Derive the characteristic frequencies/speeds and the mass ratio sqrt(m/M)."""
-    omega_O = math.sqrt(params.K / params.m)
-    omega_A = math.sqrt(params.K / params.M)
-    omega_m = math.sqrt(params.I / params.m)
-    omega_M = math.sqrt(params.J / params.M)
-    return CharacteristicScales(
-        omega_O=omega_O,
-        omega_A=omega_A,
-        omega_m=omega_m,
-        omega_M=omega_M,
-        s_m=params.a * omega_m,
-        s_M=params.a * omega_M,
-        epsilon=math.sqrt(params.m / params.M),
-    )
+    omega_O = property(lambda self: math.sqrt(self.K / self.m))
+    omega_A = property(lambda self: math.sqrt(self.K / self.M))
+    omega_m = property(lambda self: math.sqrt(self.I / self.m))
+    omega_M = property(lambda self: math.sqrt(self.J / self.M))
+    s_m = property(lambda self: self.a * self.omega_m)
+    s_M = property(lambda self: self.a * self.omega_M)
+    epsilon = property(lambda self: math.sqrt(self.m / self.M))
 
 
 @dataclass(frozen=True)
@@ -157,8 +141,8 @@ class ContinuumParams:
 
     @classmethod
     def from_chain(cls, params: ChainParams) -> "ContinuumParams":
-        s = characteristic_scales(params)
-        return cls(s_m=s.s_m, s_M=s.s_M, omega_O=s.omega_O, omega_A=s.omega_A)
+        return cls(s_m=params.s_m, s_M=params.s_M,
+                   omega_O=params.omega_O, omega_A=params.omega_A)
 
     @classmethod
     def from_quantum(cls, params: QuantumParams) -> "ContinuumParams":

@@ -6,7 +6,7 @@ import pytest
 
 from dirac8 import chain, dispersion, verify
 from dirac8.cli import main
-from dirac8.params import ChainParams, ParameterError, characteristic_scales
+from dirac8.params import ChainParams, ContinuumParams, ParameterError
 from dirac8.report import VerificationReport
 
 PARAMS = ChainParams(m=1.0, M=4.0, K=1.0, I=1.0, J=1.0, a=1.0)
@@ -31,11 +31,10 @@ def _reference_step(state, dt, params):
 
 def _reference_discrete_dispersion(k, params):
     """The per-root scalar dispersion solve, written out with its own 2x2 matrix."""
-    s = characteristic_scales(params)
     sin2 = math.sin(0.5 * k * params.a) ** 2
     D = np.array([
-        [s.omega_O**2 + 4 * s.omega_m**2 * sin2, -s.omega_O**2],
-        [-s.omega_A**2, s.omega_A**2 + 4 * s.omega_M**2 * sin2],
+        [params.omega_O**2 + 4 * params.omega_m**2 * sin2, -params.omega_O**2],
+        [-params.omega_A**2, params.omega_A**2 + 4 * params.omega_M**2 * sin2],
     ])
     tr = D[0, 0] + D[1, 1]
     det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
@@ -71,13 +70,23 @@ def _stack(*states, t=0.0):
                               np.array([s.v for s in states]), t)
 
 
-def test_characteristic_scales():
-    s = characteristic_scales(PARAMS)
-    assert s.omega_O == pytest.approx(1.0)
-    assert s.omega_A == pytest.approx(0.5)
-    assert s.epsilon == pytest.approx(0.5)
-    s0 = characteristic_scales(ChainParams(m=1, M=4, K=1, I=0, J=1, a=1))
-    assert s0.s_m == 0.0
+def _scales(p):
+    return (p.omega_O, p.omega_A, p.omega_m, p.omega_M, p.s_m, p.s_M, p.epsilon)
+
+
+def test_chain_params_derive_their_scales():
+    assert _scales(PARAMS) == pytest.approx((1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 0.5))
+    ring = ChainParams(m=1, M=4, K=1, I=0, J=1, a=1)
+    assert _scales(ring) == pytest.approx((1.0, 0.5, 0.0, 0.5, 0.0, 0.5, 0.5))
+    assert ring.s_m == 0.0
+    other = ChainParams(m=0.7, M=2.5, K=1.3, I=0.4, J=3.0, a=0.9)
+    assert _scales(other) == pytest.approx((math.sqrt(1.3 / 0.7), math.sqrt(1.3 / 2.5),
+                                            math.sqrt(0.4 / 0.7), math.sqrt(3.0 / 2.5),
+                                            0.9 * math.sqrt(0.4 / 0.7),
+                                            0.9 * math.sqrt(3.0 / 2.5),
+                                            math.sqrt(0.7 / 2.5)))
+    for p in (PARAMS, ring, other):  # dataclass equality compares field for field
+        assert ContinuumParams.from_chain(p) == ContinuumParams(p.s_m, p.s_M, p.omega_O, p.omega_A)
 
 
 def test_invalid_chain_params():
@@ -132,9 +141,8 @@ def test_discrete_dispersion_matches_reference():
 def test_discrete_dispersion_long_wave_limit():
     # acoustic branch behaves as (speed * k)^2 with the speed from a Taylor
     # expansion of the 2x2 eigenproblem at k -> 0
-    s = characteristic_scales(PARAMS)
     # effective sound speed: weighted mix of the two spring speeds
-    v2 = (PARAMS.m * s.s_m**2 + PARAMS.M * s.s_M**2) / (PARAMS.m + PARAMS.M)
+    v2 = (PARAMS.m * PARAMS.s_m**2 + PARAMS.M * PARAMS.s_M**2) / (PARAMS.m + PARAMS.M)
     for ka in (1e-3, 1e-4):
         k = ka / PARAMS.a
         w = chain.discrete_dispersion(k, PARAMS)[0][0]
@@ -605,12 +613,11 @@ def test_kgf_limit_heavy_host():
     # with no same-mass springs and M >> m the small mass oscillates at
     # nearly its bare frequency while the host stays almost still
     params = ChainParams(m=1.0, M=400.0, K=1.0, I=0.0, J=0.0, a=1.0)
-    s = characteristic_scales(params)
     state = chain.init_mode(32, 2, 1e-3, "optical", params)
     dt = 0.01 / chain.max_frequency(params)
-    n_steps = int(8 * 2 * math.pi / s.omega_O / dt)
+    n_steps = int(8 * 2 * math.pi / params.omega_O / dt)
     times, samples, _ = chain.simulate(state, dt, n_steps, params, record_every=4)
     measured = chain.measure_mode_frequency(times, samples.u[:, 0])
-    eps = s.epsilon
-    assert abs(measured - s.omega_O) / s.omega_O < eps**2 + 1e-4
+    eps = params.epsilon
+    assert abs(measured - params.omega_O) / params.omega_O < eps**2 + 1e-4
     assert np.abs(samples.U).max() < 0.05 * np.abs(samples.u).max()

@@ -166,8 +166,10 @@ def test_chain_zero_mode(tmp_path):
     assert s["omega_measured"] == 0.0
 
 
-def test_chain_unstable_dt():
+def test_chain_unstable_dt(capsys):
     assert main(["chain", "--dt", "10.0", "-o", "/dev/null"]) == 1
+    assert capsys.readouterr().err == ("dirac8 chain: error: time step violates the "
+                                       "stability bound dt * omega_max < 2\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -176,7 +178,9 @@ def test_chain_unstable_dt():
 ])
 def test_unmeasurable_runs_exit_1(argv, capsys):
     assert main(argv) == 1
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == (argv[0] == "chain")  # verify reports its failed checks on stdout
+    assert all(line.startswith(f"dirac8 {argv[0]}: error: ") for line in err)
 
 
 def test_chain_bad_mode():
@@ -228,6 +232,22 @@ def test_evolve_stationary(tmp_path):
     assert code == 0
     s = json.loads(summ.read_text())
     assert abs(s["measured_group_velocity"]) < 0.01
+
+
+@pytest.mark.parametrize("branch, speed", [("acoustic+", "1.0"), ("acoustic-", "-1.0"),
+                                           ("optical+", "0.0"), ("optical-", "0.0")])
+def test_evolve_group_velocity_at_zero_wavenumber(branch, speed, tmp_path):
+    # c on the acoustic branches at every k, k0 = 0 included; 0.0, never -0.0, on the optical
+    summ = tmp_path / "summary.json"
+    assert main(["evolve", "--branch", branch, "--k0", "0", "-o", os.devnull,
+                 "--summary", str(summ)]) == 0
+    text = summ.read_text()
+    assert f'"analytic_group_velocity": {speed},' in text
+    s = json.loads(text)
+    if s["analytic_group_velocity"]:
+        assert s["relative_error"] < 1e-12
+    else:
+        assert s["relative_error"] is None
 
 
 def _python(*args):
@@ -363,6 +383,7 @@ def test_bad_arguments_exit_2(argv, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith(f"dirac8 {argv[0]}: error: ")
 
 
 def test_float_range_error_leaves_no_output_file(tmp_path, capsys):
