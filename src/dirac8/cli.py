@@ -140,7 +140,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rep = verify.full_report(epsilon=args.epsilon, corrupt=args.corrupt)
+    rep = verify.full_report(epsilon=args.epsilon)
     lines = _header(_NATURAL, args.epsilon) + rep.lines()
     print("\n".join(lines))
     if args.output:
@@ -153,7 +153,14 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+_FRAMES = 400  # about the frames a chain run records, whatever its length
+_MAX_PERIODS = _FRAMES // 8  # fewer than 8 frames a period would alias the measured frequency
+
+
 def cmd_chain(args) -> int:
+    if args.periods > _MAX_PERIODS:
+        raise _UsageError(f"--periods {args.periods!r} is above {_MAX_PERIODS!r}: the "
+                          f"{_FRAMES} recorded frames would sample each period fewer than 8 times")
     params = ChainParams(m=args.m, M=args.M, K=args.K, I=args.I, J=args.J, a=args.a)
     try:
         state = chain_mod.init_mode(args.n, args.mode, args.amplitude, args.branch, params)
@@ -172,7 +179,7 @@ def cmd_chain(args) -> int:
         raise _UsageError(f"a step of {float(dt)!r} does not advance the clock at "
                           f"{float(sim_time)!r}; raise --dt or lower --periods")
     n_steps = max(int(sim_time / dt), 1)
-    record_every = max(n_steps // 400, 1)
+    record_every = max(n_steps // _FRAMES, 1)
     times, samples, final = chain_mod.simulate(state, dt, n_steps, params,
                                                record_every=record_every)
     try:  # the uniform translation mode (omega = 0) does not oscillate
@@ -209,8 +216,6 @@ def cmd_chain(args) -> int:
 def cmd_solutions(args) -> int:
     qp, units = _unit_params(args, args.epsilon)
     sols = planewaves.catalog_eight(args.pz, qp)
-    rng = np.random.default_rng(0)
-    pts = [(t, z) for t, z in rng.uniform(-10, 10, size=(20, 2))]
     entries = []
     for s in sols:
         entries.append({
@@ -219,10 +224,10 @@ def cmd_solutions(args) -> int:
             "p_z": s.p_z,
             "E": s.E,
             "amplitudes": [[float(a.real), float(a.imag)] for a in s.amplitudes],
-            "residual": planewaves.residual(s, pts, qp),
+            "residual": planewaves.residual(s, qp),
             "form": s.form,
         })
-    det = abs(np.linalg.det(planewaves.stacked_amplitude_matrix(sols)))
+    det = abs(np.linalg.det([s.amplitudes for s in sols]))
     print("\n".join(_header(units, args.epsilon)))
     _write(args.output, [json.dumps(
         {"p_z": args.pz, "epsilon": args.epsilon,
@@ -293,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--epsilon", type=_nonnegative_float, default=0.5)
-    p.add_argument("--corrupt", choices=("b3-ratio",), default=None, help=argparse.SUPPRESS)
     p.add_argument("--output", "-o", default=None, help="also write a JSON report")
     p.set_defaults(func=cmd_verify)
 
@@ -309,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=dispersion.KINDS, default="optical")
     p.add_argument("--amplitude", type=_positive_float, default=1e-3)
     p.add_argument("--periods", type=_bounded(float, 3.0), default=8.0,
-                   help="run length in periods; the frequency fit needs at least 3")
+                   help="run length in periods, 3 to 50: the frequency fit needs at least 3, "
+                        "and at least 8 of the ~400 recorded frames a period")
     p.add_argument("--dt", type=_positive_float, default=None)
     p.add_argument("--output", "-o", default=None, help="trajectory CSV")
     p.add_argument("--summary", default=None, help="summary JSON path")

@@ -65,14 +65,18 @@ def modal_pair(p, q, omega_O2, omega_A2):
     parts p, q: 4 omega_m^2 sin^2(k a / 2) and 4 omega_M^2 sin^2(k a / 2) on
     the chain, s_m^2 k^2 and s_M^2 k^2 in the continuum.  All four arguments
     are non-negative floats or broadcastable arrays.
-    Returns W (2, ...) ascending, W- clipped at 0, and vecs (2, ..., 2), each
-    orthogonal to the row of D - W with the larger largest entry, its larger
-    component (the first on a tie) positive; nan where D is a multiple of I.
+    Returns W (2, ...) ascending and vecs (2, ..., 2), each orthogonal to the
+    row of D - W with the larger largest entry, its larger component (the
+    first on a tie) positive; nan where D is a multiple of I.  W+ = half + disc;
+    W- = det D / W+, with det D = pq + p omega_A2 + q omega_O2 a sum of
+    non-negative terms, so W- does not cancel at small k as half - disc does.
     """
     a, b = p + omega_O2, q + omega_A2
     half = 0.5 * (a + b)  # on floats half**2 is libm pow, as in the scalar reference test
     disc = np.sqrt(np.maximum(half**2 - (a * b - omega_O2 * omega_A2), 0.0))
-    W = np.stack([np.maximum(half - disc, 0.0), half + disc])
+    hi = half + disc  # 0 only where D = 0
+    det = p * q + p * omega_A2 + q * omega_O2
+    W = np.stack([np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0), hi])
     a_W, b_W = a - W, b - W
     first = np.maximum(np.abs(a_W), omega_O2) >= np.maximum(omega_A2, np.abs(b_W))
     v = np.stack([np.where(first, omega_O2, -b_W), np.where(first, a_W, -omega_A2)], axis=-1)

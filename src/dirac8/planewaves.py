@@ -12,7 +12,6 @@ eight-component wave function (Psi_1..Psi_4, Phi_1..Phi_4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,35 +32,6 @@ def set_fault(name: str | None) -> None:
         if name != "b3-ratio":
             raise ValueError(f"unknown fault {name!r}")
         _FAULTS.add(name)
-
-
-class Amplitudes(NamedTuple):
-    b1: complex
-    b3: complex
-    d1: complex
-    d3: complex
-    form: str  # "closed-form" | "rationalized" | "pz0-limit"
-
-
-def amplitudes(branch: Branch, p_z: float, params: QuantumParams) -> Amplitudes:
-    """Closed-form amplitudes (b1, b3, d1, d3) of one spin sector, seeded b1 = 1.
-
-    b3 is the ratio b3/b1 of ``dispersion.amplitude_pair`` (the negative
-    optical branch uses its rationalized form).  The secondary sector repeats
-    the primary one on the acoustic branches and is d = -eps^2 b on the
-    optical ones.  At p_z = 0 exactly, the negative-optical eigenvector has no
-    component on b1; the continuous limit (0, 1, 0, d3) is returned, seeded
-    b3 = 1.
-    """
-    g = 1.0 if branch.kind == "acoustic" else -params.epsilon**2
-    pair_b1, pair_b3 = amplitude_pair(branch, p_z, params)
-    if pair_b1 == 0:
-        return Amplitudes(0.0, 1.0, 0.0, g, "pz0-limit")
-    ratio = pair_b3 / pair_b1
-    if branch == OPTICAL_PLUS and "b3-ratio" in _FAULTS:
-        ratio *= 1.01
-    form = "rationalized" if branch == OPTICAL_MINUS else "closed-form"
-    return Amplitudes(1.0, ratio, g, ratio * g, form)
 
 
 @dataclass(frozen=True)
@@ -95,37 +65,45 @@ class PlaneWaveSolution:
 
 def build_solution(branch: Branch, spin: str, p_z: float,
                    params: QuantumParams) -> PlaneWaveSolution:
-    """Construct the cataloged plane-wave solution for one (branch, spin)."""
-    amp = amplitudes(branch, p_z, params)
+    """The cataloged plane-wave solution for one (branch, spin), seeded b1 = 1.
+
+    Its sector amplitudes (b1, b3, d1, d3) are closed forms: b3 is the ratio
+    b3/b1 of ``dispersion.amplitude_pair`` (the negative optical branch uses
+    its rationalized form).  The secondary sector repeats the primary one on
+    the acoustic branches and is d = -eps^2 b on the optical ones.  At p_z = 0
+    exactly, the negative-optical eigenvector has no component on b1; the
+    continuous limit (0, 1, 0, d3) is returned, seeded b3 = 1.
+    """
+    g = 1.0 if branch.kind == "acoustic" else -params.epsilon**2
+    pair_b1, pair_b3 = amplitude_pair(branch, p_z, params)
+    if pair_b1 == 0:
+        sector, form = (0.0, 1.0, 0.0, g), "pz0-limit"
+    else:
+        ratio = pair_b3 / pair_b1
+        if branch == OPTICAL_PLUS and "b3-ratio" in _FAULTS:
+            ratio *= 1.01
+        sector = (1.0, ratio, g, ratio * g)
+        form = "rationalized" if branch == OPTICAL_MINUS else "closed-form"
     sol = PlaneWaveSolution(branch=branch, spin=spin, p_z=p_z,
                             E=branch_energy(branch, p_z, params),
-                            amplitudes=np.zeros(8, dtype=complex), form=amp.form)
-    sol.amplitudes[SPIN_SLOTS[spin]] = (amp.b1, amp.b3, amp.d1, amp.d3)
+                            amplitudes=np.zeros(8, dtype=complex), form=form)
+    sol.amplitudes[SPIN_SLOTS[spin]] = sector
     return sol
 
 
-def residual(solution: PlaneWaveSolution, sample_points, params: QuantumParams) -> float:
-    """Max modulus of the four sector equations evaluated on the solution.
+def residual(solution: PlaneWaveSolution, params: QuantumParams) -> float:
+    """Max modulus of the four sector equations on the solution: max |E v - H v|.
 
-    The plane-wave derivatives are applied analytically
-    (d/dt -> -iE/hbar, d/dz -> i p_z/hbar).
+    The plane-wave factor exp(-i (E t - p_z z)/hbar) has modulus 1 and the
+    derivatives act on it as d/dt -> -iE/hbar, d/dz -> i p_z/hbar, so the
+    residual at every (t, z) is that of the sector amplitudes v.
     """
     H = spin_sector_hamiltonian(solution.p_z, params)
     v = solution.sector_amplitudes
-    base = solution.E * v - H @ v
-    return max((float(np.max(np.abs(base * solution.phase(t, z, params))))
-                for t, z in sample_points), default=0.0)
+    return float(np.max(np.abs(solution.E * v - H @ v)))
 
 
 def catalog_eight(p_z: float, params: QuantumParams) -> list[PlaneWaveSolution]:
     """All eight solutions at momentum p_z: branches x energy signs x spins."""
-    out = []
-    for branch in BRANCHES:
-        for spin in ("up", "down"):
-            out.append(build_solution(branch, spin, p_z, params))
-    return out
-
-
-def stacked_amplitude_matrix(solutions) -> np.ndarray:
-    """8x8 matrix whose rows are the solutions' amplitude vectors."""
-    return np.array([s.amplitudes for s in solutions])
+    return [build_solution(branch, spin, p_z, params)
+            for branch in BRANCHES for spin in ("up", "down")]

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -30,17 +31,24 @@ def _reference_step(state, dt, params):
 
 
 def _reference_discrete_dispersion(k, params):
-    """The per-root scalar dispersion solve, written out with its own 2x2 matrix."""
+    """The per-root scalar dispersion solve, written out with its own 2x2 matrix.
+
+    The lower root is det D / (upper root), with det D summed from the
+    wavenumber parts p, q: pq + p w_A^2 + q w_O^2, free of cancellation.
+    """
     sin2 = math.sin(0.5 * k * params.a) ** 2
+    p, q = 4 * params.omega_m**2 * sin2, 4 * params.omega_M**2 * sin2
     D = np.array([
-        [params.omega_O**2 + 4 * params.omega_m**2 * sin2, -params.omega_O**2],
-        [-params.omega_A**2, params.omega_A**2 + 4 * params.omega_M**2 * sin2],
+        [params.omega_O**2 + p, -params.omega_O**2],
+        [-params.omega_A**2, params.omega_A**2 + q],
     ])
     tr = D[0, 0] + D[1, 1]
     det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
     half = 0.5 * tr
     disc = math.sqrt(max(half**2 - det, 0.0))
-    lam = (max(half - disc, 0.0), half + disc)
+    upper = half + disc
+    det_pq = p * q + p * params.omega_A**2 + q * params.omega_O**2
+    lam = (det_pq / upper if upper > 0 else 0.0, upper)
 
     vecs = []
     for l in lam:
@@ -136,6 +144,26 @@ def test_discrete_dispersion_matches_reference():
         assert omega[0] == w_ac and omega[1] == w_op
         assert np.array_equal(vecs[0], v_ac)
         assert np.array_equal(vecs[1], v_op)
+
+
+def test_modal_pair_roots_exact_at_small_k():
+    # both roots to a few ulp of an 80-digit evaluation from the same float p, q;
+    # at 10^6 sites and M/m = 100, half - disc loses 3e-5 of W- to cancellation
+    four_ulp = decimal.Decimal(4 * np.finfo(float).eps)
+    for params in (PARAMS, ChainParams(m=1, M=100, K=3, I=0.5, J=2, a=1)):
+        ks = 2 * math.pi / (params.a * np.array([128, 4096, 10**6, 10**8]))
+        sin2 = np.sin(0.5 * ks * params.a) ** 2
+        p, q = 4 * params.omega_m**2 * sin2, 4 * params.omega_M**2 * sin2
+        o2, a2 = params.omega_O**2, params.omega_A**2
+        W, _ = dispersion.modal_pair(p, q, o2, a2)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            for j in range(len(ks)):
+                P, Q, O, A = (decimal.Decimal(float(x)) for x in (p[j], q[j], o2, a2))
+                half = (P + O + Q + A) / 2
+                disc = (((P + O - Q - A) / 2) ** 2 + O * A).sqrt()
+                for got, exact in zip(W[:, j], (half - disc, half + disc)):
+                    assert abs(decimal.Decimal(float(got)) - exact) <= four_ulp * exact
 
 
 def test_discrete_dispersion_long_wave_limit():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dirac8 import chain
+from dirac8 import chain, verify
 from dirac8.cli import build_parser, main
 from dirac8.params import ChainParams
 
@@ -89,10 +89,19 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert set(rep["versions"]) == {"python", "numpy", "platform"}
 
 
-def test_verify_fault_injection(capsys):
-    code = main(["verify", "--corrupt", "b3-ratio"])
-    assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
+    # the CLI has no fault flag; switch the library's fault hook on under it
+    full_report = verify.full_report
+    monkeypatch.setattr(verify, "full_report",
+                        lambda **kwargs: full_report(corrupt="b3-ratio", **kwargs))
+    out = tmp_path / "report.json"
+    for epsilon in ("0", "0.5", "5"):
+        assert main(["verify", "--epsilon", epsilon, "-o", str(out)]) == 1
+        failed = {c["name"] for c in json.loads(out.read_text())["checks"]
+                  if c["status"] == "fail"}
+        assert failed == {"closed-form amplitudes match null space", "catalog residuals",
+                          "spectral plane-wave phase advance"}
+        assert capsys.readouterr().out.count("\nFAIL  ") == 3
 
 
 def test_verify_hermitian_at_unit_ratio(capsys):
@@ -134,6 +143,19 @@ def test_chain_summary_reports_the_run(tmp_path):
     assert s["omega_verlet"] > s["omega_dispersion"]
     assert s["relative_modified_energy_drift"] < 1e-12
     assert s["n_steps"] == int(8 * 2 * math.pi / s["omega_dispersion"] / s["dt"])
+
+
+def test_chain_periods_keep_eight_frames_a_period(tmp_path, capsys):
+    # ~400 frames a run: past 50 periods the site-0 series would alias the mode
+    summ = tmp_path / "summary.json"
+    assert main(["chain", "--n", "16", "--periods", "250", "--summary", str(summ)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dirac8 chain: error: --periods ")
+    assert not summ.exists()
+    code = main(["chain", "--n", "16", "--periods", "50", "-o", str(tmp_path / "t.csv"),
+                 "--summary", str(summ)])
+    assert code == 0
+    assert json.loads(summ.read_text())["relative_error"] < 1e-4
 
 
 def test_chain_csv_matches_rowwise_reference(tmp_path):
@@ -420,7 +442,7 @@ _BRANCHES = ("acoustic+", "acoustic-", "optical+", "optical-")
 # --n, --n-grid, --samples, --periods and --t-total are bounded only to keep the runs short
 _FLAGS = {
     "dispersion": {"--epsilon": _NUMBER, "--pmax": _NUMBER, "--n": _small_int(200), **_UNITS},
-    "verify": {"--epsilon": _NUMBER, "--corrupt": _choice("b3-ratio")},
+    "verify": {"--epsilon": _NUMBER},
     "chain": {**{f: _NUMBER for f in ("--m", "--M", "--K", "--I", "--J", "--a",
                                       "--amplitude", "--dt")},
               "--mode": st.one_of(st.integers(-2, 20).map(str), _NUMBER),
@@ -433,7 +455,8 @@ _FLAGS = {
                "--t-total": st.one_of(st.floats(-1, 50).map(repr), _JUNK), **_UNITS},
 }
 # flags that the subcommands do not take: drawing one must exit 2
-_REMOVED = {"dispersion": _UNIT_SYSTEM, "verify": {**_UNITS, **_UNIT_SYSTEM, "--fast": None},
+_REMOVED = {"dispersion": _UNIT_SYSTEM,
+            "verify": {**_UNITS, **_UNIT_SYSTEM, "--fast": None, "--corrupt": _choice("b3-ratio")},
             "chain": _UNIT_SYSTEM, "solutions": _UNIT_SYSTEM,
             "evolve": {**_UNIT_SYSTEM, "--method": _choice("spectral", "rk4")}}
 _OUTPUTS = {"dispersion": ("-o",), "verify": ("-o",), "chain": ("-o", "--summary"),

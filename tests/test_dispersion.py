@@ -179,11 +179,11 @@ def test_modes_ignore_the_amplitude_fault():
     qp = QuantumParams(epsilon=0.5)
     ks = np.linspace(-3.0, 3.0, 41)
     clean = dsp.modes(ks, qp)
-    clean_b3 = pw.amplitudes(dsp.OPTICAL_PLUS, 1.0, qp).b3
+    clean_b3 = pw.build_solution(dsp.OPTICAL_PLUS, "up", 1.0, qp).sector_amplitudes[1]
     pw.set_fault("b3-ratio")
     try:
         faulted = dsp.modes(ks, qp)
-        faulted_b3 = pw.amplitudes(dsp.OPTICAL_PLUS, 1.0, qp).b3
+        faulted_b3 = pw.build_solution(dsp.OPTICAL_PLUS, "up", 1.0, qp).sector_amplitudes[1]
     finally:
         pw.set_fault(None)
     assert faulted_b3 == pytest.approx(1.01 * clean_b3, rel=1e-14)

@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dirac8 import matrices, planewaves as pw
 from dirac8.dispersion import (ACOUSTIC_MINUS, ACOUSTIC_PLUS, BRANCHES,
-                               OPTICAL_MINUS, OPTICAL_PLUS, branch_energy)
+                               OPTICAL_MINUS, OPTICAL_PLUS, branch_energy, modes)
 from dirac8.params import QuantumParams
 
 QP = QuantumParams(epsilon=0.5)
@@ -14,15 +15,22 @@ RNG = np.random.default_rng(7)
 POINTS = [(t, z) for t, z in RNG.uniform(-10, 10, size=(20, 2))]
 
 
+def _amp(branch, p_z, qp=QP):
+    """The spin-up solution's sector amplitudes as .b1, .b3, .d1, .d3, with its .form."""
+    sol = pw.build_solution(branch, "up", p_z, qp)
+    return SimpleNamespace(**dict(zip(("b1", "b3", "d1", "d3"), sol.sector_amplitudes)),
+                           form=sol.form)
+
+
 def test_acoustic_amplitudes():
-    amp = pw.amplitudes(ACOUSTIC_PLUS, 1.7, QP)
+    amp = _amp(ACOUSTIC_PLUS, 1.7)
     assert (amp.b1, amp.b3, amp.d1, amp.d3) == (1.0, 1.0, 1.0, 1.0)
-    amp = pw.amplitudes(ACOUSTIC_MINUS, 1.7, QP)
+    amp = _amp(ACOUSTIC_MINUS, 1.7)
     assert (amp.b1, amp.b3, amp.d1, amp.d3) == (1.0, -1.0, 1.0, -1.0)
 
 
 def test_optical_plus_amplitudes_at_rest():
-    amp = pw.amplitudes(OPTICAL_PLUS, 0.0, QP)
+    amp = _amp(OPTICAL_PLUS, 0.0)
     assert amp.b1 == 1.0
     assert amp.b3 == 0.0
     assert amp.d1 == pytest.approx(-0.25)
@@ -30,7 +38,7 @@ def test_optical_plus_amplitudes_at_rest():
 
 
 def test_optical_plus_ratio_value():
-    amp = pw.amplitudes(OPTICAL_PLUS, 1.0, QP)
+    amp = _amp(OPTICAL_PLUS, 1.0)
     expected = 1.0 / (1.5 + math.sqrt(1.25))
     assert amp.b3 == pytest.approx(expected, rel=1e-14)
 
@@ -39,7 +47,7 @@ def test_optical_minus_rationalized_matches_printed_form():
     # the printed ratio -c p / (sqrt(...) - gap) and the rationalized
     # -(sqrt(...) + gap) / (c p) agree away from p = 0
     for p in (0.3, 1.0, -2.0):
-        amp = pw.amplitudes(OPTICAL_MINUS, p, QP)
+        amp = _amp(OPTICAL_MINUS, p)
         E_abs = math.sqrt(p**2 + QP.gap_energy**2)
         printed = -p / (E_abs - QP.gap_energy)
         assert amp.b3 == pytest.approx(printed, rel=1e-10)
@@ -47,7 +55,7 @@ def test_optical_minus_rationalized_matches_printed_form():
 
 
 def test_optical_minus_rest_limit():
-    amp = pw.amplitudes(OPTICAL_MINUS, 0.0, QP)
+    amp = _amp(OPTICAL_MINUS, 0.0)
     assert amp.form == "pz0-limit"
     assert amp.b1 == 0.0
     assert amp.b3 == 1.0
@@ -61,10 +69,25 @@ def test_optical_minus_rest_limit():
 
 def test_secondary_amplitude_scales_as_eps_squared():
     eps_grid = np.array([0.01, 0.03, 0.1, 0.3])
-    ratios = [abs(pw.amplitudes(OPTICAL_PLUS, 1.0, QuantumParams(epsilon=e)).d1)
+    ratios = [abs(_amp(OPTICAL_PLUS, 1.0, QuantumParams(epsilon=e)).d1)
               for e in eps_grid]
     slope = np.polyfit(np.log(eps_grid), np.log(ratios), 1)[0]
     assert slope == pytest.approx(2.0, abs=1e-6)
+
+
+def test_sector_amplitudes_parallel_to_modes():
+    # planewaves and dispersion.modes each write out the branch vector (b, g b),
+    # with g = 1 or -eps^2 and the p_z = 0 limit of the negative optical branch
+    for eps in (0.0, 0.5, 2.0):
+        qp = QuantumParams(epsilon=eps, hbar=0.5)
+        for p_z in (0.0, 0.7, -0.7, 3.0):
+            _, R, _ = modes([p_z / qp.hbar], qp)
+            for j, branch in enumerate(BRANCHES):
+                w = R[0, :, j]  # a unit vector
+                for spin in ("up", "down"):
+                    v = pw.build_solution(branch, spin, p_z, qp).sector_amplitudes
+                    v = v / np.linalg.norm(v)
+                    assert np.linalg.norm(v - np.vdot(w, v) * w) < 1e-14, (eps, p_z, branch)
 
 
 def test_build_solution_evaluator():
@@ -101,7 +124,7 @@ def test_spin_flip_permutes_and_involutes():
     again = spin_flip(down)
     assert again.spin == "up"
     assert np.array_equal(again.amplitudes, sol.amplitudes)
-    assert pw.residual(down, POINTS, QP) < 1e-10
+    assert pw.residual(down, QP) < 1e-10
 
 
 def test_residual_small_for_all_solutions():
@@ -109,7 +132,7 @@ def test_residual_small_for_all_solutions():
     for branch in BRANCHES:
         for spin in ("up", "down"):
             sol = pw.build_solution(branch, spin, 1.2, QP)
-            r = pw.residual(sol, POINTS, QP) / (scale * np.abs(sol.amplitudes).max())
+            r = pw.residual(sol, QP) / (scale * np.abs(sol.amplitudes).max())
             assert r < 1e-10
 
 
@@ -119,14 +142,14 @@ def test_residual_detects_corrupted_amplitude():
     bad[2] *= 1.01
     corrupted = pw.PlaneWaveSolution(branch=sol.branch, spin=sol.spin, p_z=sol.p_z,
                                      E=sol.E, amplitudes=bad, form=sol.form)
-    assert pw.residual(corrupted, POINTS, QP) > 1e-4 * QP.rest_energy
+    assert pw.residual(corrupted, QP) > 1e-4 * QP.rest_energy
 
 
 def test_residual_detects_wrong_energy():
     sol = pw.build_solution(ACOUSTIC_PLUS, "up", 1.0, QP)
     flipped = pw.PlaneWaveSolution(branch=sol.branch, spin=sol.spin, p_z=sol.p_z,
                                    E=-sol.E, amplitudes=sol.amplitudes, form=sol.form)
-    assert pw.residual(flipped, POINTS, QP) > 0.1 * QP.rest_energy
+    assert pw.residual(flipped, QP) > 0.1 * QP.rest_energy
 
 
 def _fd_residual(solution, sample_points, params, h):
@@ -181,7 +204,7 @@ def test_catalog_eight_structure():
 
 def test_catalog_linear_independence():
     sols = pw.catalog_eight(1.0, QP)
-    M = pw.stacked_amplitude_matrix(sols)
+    M = np.array([s.amplitudes for s in sols])
     assert abs(np.linalg.det(M)) > 1e-8
 
 
@@ -217,7 +240,7 @@ def test_fault_hook():
     pw.set_fault("b3-ratio")
     try:
         sol = pw.build_solution(OPTICAL_PLUS, "up", 1.0, QP)
-        assert pw.residual(sol, POINTS, QP) > 1e-4 * QP.rest_energy
+        assert pw.residual(sol, QP) > 1e-4 * QP.rest_energy
     finally:
         pw.set_fault(None)
     with pytest.raises(ValueError):
