@@ -251,18 +251,20 @@ def _spectral_peak(times: np.ndarray, signal: np.ndarray) -> float:
 
 
 def measure_mode_frequency(times: np.ndarray, signal: np.ndarray) -> float:
-    """Dominant angular frequency of a sampled site displacement.
+    """Dominant angular frequency of a uniformly sampled site displacement.
 
-    Uses averaged zero-crossing spacing for a monochromatic signal; falls back
-    to the interpolated spectral peak when the crossing spacings are uneven
-    (e.g. superposed modes).  Raises if the trajectory shows no oscillation,
-    is subnormal (too few significant bits to time) or spans fewer than ~3
-    periods.  A crossing is a change of side of 0, where +0 and -0 are the
-    same side, so no crossing interpolates 0 / 0.
+    A tone about 0 (a normal mode) with evenly spaced zero crossings obeys
+    x_{j+1} + x_{j-1} = 2 cos(theta) x_j, solved by least squares as
+    sin^2(theta / 2) = sum x_j (2 x_j - x_{j+1} - x_{j-1}) / (4 sum x_j^2):
+    exact at any phase and length (Prony; Kay, *Modern Spectral Estimation*,
+    1988).  Uneven crossings (superposed modes) take the interpolated spectral
+    peak.  Raises if the trajectory shows no oscillation, is subnormal (too
+    few significant bits to time) or spans fewer than ~3 periods.  A crossing
+    is a change of side of 0, +0 and -0 being one side, so none interpolates 0 / 0.
     """
     sig = np.asarray(signal, dtype=float)
-    sig = sig - sig.mean()
-    amp = np.abs(sig).max()
+    centred = sig - sig.mean()
+    amp = np.abs(centred).max()
     if amp == 0 or not np.isfinite(amp):
         raise ValueError("trajectory shows no oscillation")
     if amp < np.finfo(float).tiny:
@@ -274,10 +276,13 @@ def measure_mode_frequency(times: np.ndarray, signal: np.ndarray) -> float:
     t_cross = times[idx] + (times[idx + 1] - times[idx]) * (
         -sig[idx] / (sig[idx + 1] - sig[idx]))
     gaps = np.diff(t_cross)
-    mean_gap = gaps.mean()
-    if gaps.std() > 0.01 * mean_gap:
-        return _spectral_peak(times, sig)
-    return math.pi / mean_gap
+    if gaps.std() > 0.01 * gaps.mean():
+        return _spectral_peak(times, centred)
+    mid = sig[1:-1]
+    half_sin2 = np.dot(mid, 2 * mid - sig[2:] - sig[:-2]) / (4 * np.dot(mid, mid))
+    if not 0 <= half_sin2 <= 1:
+        raise ValueError(f"signal is no single tone: sin^2(theta / 2) = {half_sin2!r}")
+    return 2 * math.asin(math.sqrt(half_sin2)) / ((times[-1] - times[0]) / (len(times) - 1))
 
 
 def convergence_exponent(params: ChainParams) -> float:

@@ -134,16 +134,19 @@ def amplitude_pair(branch: Branch, p_z, params: QuantumParams):
 def modes(ks, params: QuantumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form eigensystem (E, R, Lt) of the sector matrix at each wavenumber.
 
-    All three are real, with shapes (n, 4), (n, 4, 4) and (n, 4, 4); branch
-    index j follows ``BRANCHES``.  E[:, j] is the branch energy at p = hbar k,
-    the column R[:, :, j] the unit right eigenvector (b1, b3, d1, d3), and
-    the row Lt[:, j, :] its dual left eigenvector, so Lt @ R = I and
-    H = R diag(E) Lt.  Each right vector is (u, g u) up to scale, where u is
-    ``amplitude_pair`` normalised, g = 1 on the acoustic and g = -eps^2 on
-    the optical branches; the left rows are (eps^2 u, u) and (u, -u) up to
-    scale.  At k = 0 the two acoustic vectors stay independent.
+    All three are real, with shapes (n, 4), (n, 4, 4) and (n, 4, 4) for n
+    wavenumbers (a scalar is n = 1); branch index j follows ``BRANCHES``.
+    E[:, j] is the branch energy at p = hbar k, the column R[:, :, j] the
+    unit right eigenvector (b1, b3, d1, d3), and the row Lt[:, j, :] its dual
+    left eigenvector, so Lt @ R = I and H = R diag(E) Lt.  Each right vector
+    is (u, g u) up to scale, where u is ``amplitude_pair`` normalised, g = 1
+    on the acoustic and g = -eps^2 on the optical branches; the left rows are
+    (eps^2 u, u) and (u, -u) up to scale.  At k = 0 the two acoustic vectors
+    stay independent.
     """
-    p = params.hbar * np.asarray(ks, dtype=float)
+    p = params.hbar * np.atleast_1d(np.asarray(ks, dtype=float))
+    if p.ndim > 1:
+        raise ValueError(f"ks must be one wavenumber or a 1-D array, got shape {p.shape}")
     eps2 = params.epsilon**2
     E = np.array([branch_energy(b, p, params) for b in BRANCHES])
     # rows are branches, the last axis runs over k

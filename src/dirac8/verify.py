@@ -151,18 +151,15 @@ def _catalog_checks(rep: VerificationReport, qp: QuantumParams) -> None:
 
 
 def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: ChainParams,
-                 record_every: int = 1, member=()):
+                 record_every: int = 1):
     """Step n_steps of velocity Verlet, recording a sample every record_every steps.
 
     The independent stepper of the time-domain chain checks and the tests'
     reference for ``chain.simulate``, which evaluates the same map in closed
-    form: same checks, same (times, samples, final_state).  One more argument,
-    member, records only ``x[member]`` and ``v[member]`` of a stack, so the
-    samples have shape (len(times),) + x[member].shape; member is a basic
-    index (ints and slices) into the leading axes, and the default () records
-    the whole state.  Each operation is elementwise and the accelerations
-    depend on x alone, so every ring of a stack is bit-identical to its lone
-    run, and a run split into two calls equals the unsplit one.
+    form: same checks, same (times, samples, final_state).  Each operation
+    is elementwise and the accelerations depend on x alone, so every ring of
+    a stack is bit-identical to its lone run, and a run split into two calls
+    equals the unsplit one.
 
     (u, U) is the interior of one preallocated (..., 2, n_sites + 2) buffer
     whose two ghost columns hold the periodic neighbours, so the Laplacian is
@@ -205,12 +202,8 @@ def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: Cha
         np.divide(out, mass, out=out)
 
     times = np.empty(n_steps // record_every + 1)
-    x_rec, v_rec = x[member], v[member]
-    # a copy (advanced indexing) would record step 0 for ever; a row would be no state
-    if x_rec.shape[-2:] != x.shape[-2:] or not np.may_share_memory(x_rec, x):
-        raise ValueError("member must be a basic index into the leading axes")
-    xs, vs = np.empty((2, len(times)) + x_rec.shape)
-    times[0], xs[0], vs[0] = t, x_rec, v_rec
+    xs, vs = np.empty((2, len(times)) + x.shape)
+    times[0], xs[0], vs[0] = t, x, v
     accelerations(a)
     for i in range(1, n_steps + 1):
         np.multiply(dt, v, out=tmp)
@@ -225,7 +218,7 @@ def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: Cha
         t = t + dt
         if i % record_every == 0:
             j = i // record_every
-            times[j], xs[j], vs[j] = t, x_rec, v_rec
+            times[j], xs[j], vs[j] = t, x, v
     return times, chain.LatticeState(xs, vs), chain.LatticeState(x.copy(), v, t)
 
 
@@ -235,36 +228,34 @@ def _chain_checks(rep: VerificationReport) -> None:
     _add(rep, "chain-continuum convergence order", "long-wave limit",
          abs(slope - 2.0), 0.2, f"fitted slope {slope:.4f}")
 
-    n_sites, mode, drift_steps, amplitude = 64, 3, 10_000, 1e-3 * cp.a
+    n_sites, mode, n_steps, amplitude = 64, 3, 10_000, 1e-3 * cp.a
     omega = chain.discrete_dispersion(2 * math.pi * mode / (n_sites * cp.a), cp)[0][1]
     runs = [chain.init_mode(n_sites, mode, amplitude, b, cp) for b in ("optical", "acoustic")]
     omega_max = chain.max_frequency(cp)
     dt = 0.01 / omega_max
-    n_steps = int(8 * 2 * math.pi / omega / dt)  # 9,832: the optical run is the shorter
-    # Step both runs as one (2, 2, n) stack, recording the optical one, then finish
-    # the acoustic run alone; each equals its lone ``verlet_steps`` run bit for bit.
+    # one (2, 2, n) stack, each ring bit-identical to its lone run: optical, acoustic
     start = chain.LatticeState(np.array([s.x for s in runs]), np.array([s.v for s in runs]))
-    times, samples, both = verlet_steps(start, dt, n_steps, cp, record_every=4, member=0)
-    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
+    times, samples, final = verlet_steps(start, dt, n_steps, cp, record_every=8)
+    measured = chain.measure_mode_frequency(times, samples.u[:, 0, 0])
     _add(rep, "time-domain mode frequency", "dispersion cross-validation",
          abs(measured - omega) / omega, 1e-4)
+    omega_verlet = chain.verlet_frequency(omega, dt)
+    _add(rep, "measured frequency equals verlet_frequency", "modified frequency",
+         abs(measured - omega_verlet) / omega_verlet, 1e-10,
+         "the optical run turns by dt * verlet_frequency per step, exactly")
 
-    # record_every = drift_steps exceeds the steps left: only the start frame is kept
-    acoustic = chain.LatticeState(both.x[1], both.v[1], both.t)
-    *_, final = verlet_steps(acoustic, dt, drift_steps - n_steps, cp,
-                             record_every=drift_steps)
-    e0, e1 = (chain.total_energy(s, cp) for s in (runs[1], final))
+    acoustic = chain.LatticeState(final.x[1], final.v[1], final.t)
+    e0, e1 = (chain.total_energy(s, cp) for s in (runs[1], acoustic))
     _add(rep, "symplectic energy drift", "energy conservation", abs(e1 - e0) / e0, 1e-6,
          "10^4 velocity-Verlet steps, acoustic mode")
-    h0, h1 = (chain.modified_energy(s, dt, cp) for s in (runs[1], final))
+    h0, h1 = (chain.modified_energy(s, dt, cp) for s in (runs[1], acoustic))
     _add(rep, "modified energy drift", "discrete energy conservation", abs(h1 - h0) / h0,
          1e-12, "the same run's E - (dt^2/8) sum F^2/mass, which Verlet conserves exactly")
 
-    # the same two runs as the closed-form map; velocities in units of omega_max
-    *_, both_map = chain.simulate(start, dt, n_steps, cp, record_every=n_steps)
-    *_, final_map = chain.simulate(runs[1], dt, drift_steps, cp, record_every=drift_steps)
-    deviation = max(max(np.abs(got.x - ref.x).max(), np.abs(got.v - ref.v).max() / omega_max)
-                    for got, ref in ((both_map, both), (final_map, final))) / amplitude
+    # the same run as the closed-form map; velocities in units of omega_max
+    *_, exact = chain.simulate(start, dt, n_steps, cp, record_every=n_steps)
+    deviation = max(np.abs(exact.x - final.x).max(),
+                    np.abs(exact.v - final.v).max() / omega_max) / amplitude
     _add(rep, "loop equals the exact Verlet map", "closed-form velocity Verlet",
          deviation, 1e-10, "final states of both runs against chain.simulate")
 
@@ -303,7 +294,7 @@ def _evolution_checks(rep: VerificationReport, qp: QuantumParams) -> None:
 
 def full_report(epsilon: float = 0.5, corrupt: str | None = None,
                 seed: int = SEED) -> VerificationReport:
-    """Run all 51 checks, the one configuration; the report's `passed` gates exit status.
+    """Run all 52 checks, the one configuration; the report's `passed` gates exit status.
 
     ``seed`` seeds the random draws; ``corrupt`` names a ``planewaves`` fault to switch on.
     """

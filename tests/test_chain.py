@@ -269,20 +269,17 @@ def test_energy_drift_symplectic():
     assert abs(chain.total_energy(s, PARAMS) - e0) / e0 < 1e-6
 
 
-def _assert_close_to_loop(start, got, want, member=(), rel=1e-12):
+def _assert_close_to_loop(start, got, want, rel=1e-12):
     """simulate's (times, samples, final) against the loop's, for the same run from start.
 
-    simulate records the whole state and the loop only its member.  The times
-    are the loop's bit for bit; every cell of each row (u, U, du_dt, dU_dt) of
-    the samples, and of the final x and v, is within rel of the largest entry
-    of the loop's array (its amplitude).
+    The times are the loop's bit for bit; every cell of each row (u, U,
+    du_dt, dU_dt) of the samples, and of the final x and v, is within rel of
+    the largest entry of the loop's array (its amplitude).
     """
     (times, samples, final), (loop_times, loop_samples, loop_final) = got, want
     assert samples.x.shape == (len(times),) + start.x.shape
     assert np.array_equal(times, loop_times) and final.t == loop_final.t
-    lead = (slice(None),) + np.index_exp[member]
-    rec = chain.LatticeState(samples.x[lead], samples.v[lead])
-    for a, b in zip((rec.u, rec.U, rec.du_dt, rec.dU_dt, final.x, final.v),
+    for a, b in zip((samples.u, samples.U, samples.du_dt, samples.dU_dt, final.x, final.v),
                     (loop_samples.u, loop_samples.U, loop_samples.du_dt, loop_samples.dU_dt,
                      loop_final.x, loop_final.v)):
         assert a.shape == b.shape
@@ -337,8 +334,7 @@ def test_stacked_kernel_matches_lone_runs_and_reference():
     states = [_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)]
     dt, n_steps = 0.05, 300
     stack = _stack(*states, t=0.3)
-    *_, out = verify.verlet_steps(stack, dt, n_steps, params, record_every=n_steps,
-                                   member=0)
+    *_, out = verify.verlet_steps(stack, dt, n_steps, params, record_every=n_steps)
     for b, state in enumerate(states):
         *_, lone = verify.verlet_steps(state, dt, n_steps, params, record_every=n_steps)
         ref = state
@@ -355,7 +351,7 @@ def test_stacked_kernel_matches_lone_runs_and_reference():
 def test_stacked_kernel_split_run_equals_unsplit():
     states = [_random_state(16, seed=3), _random_state(16, seed=4)]
     dt, m, n_steps = 0.05, 137, 400
-    *_, both = verify.verlet_steps(_stack(*states), dt, m, PARAMS, record_every=m, member=0)
+    *_, both = verify.verlet_steps(_stack(*states), dt, m, PARAMS, record_every=m)
     rest = chain.LatticeState(both.x[1], both.v[1], both.t)
     *_, split = verify.verlet_steps(rest, dt, n_steps - m, PARAMS, record_every=n_steps)
     *_, whole = verify.verlet_steps(states[1], dt, n_steps, PARAMS, record_every=n_steps)
@@ -363,34 +359,19 @@ def test_stacked_kernel_split_run_equals_unsplit():
     assert np.array_equal(split.x, whole.x) and np.array_equal(split.v, whole.v)
 
 
-@pytest.mark.parametrize("member", [0, 1])
-def test_stacked_kernel_records_one_member(member):
-    states = [_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)]
-    dt, n_steps, every = 0.05, 50, 4
-    times, samples, _ = verify.verlet_steps(_stack(*states, t=1.0), dt, n_steps, PARAMS,
-                                            record_every=every, member=member)
-    lone_times, lone, _ = verify.verlet_steps(states[member], dt, n_steps, PARAMS,
-                                              record_every=every)
-    frames, lone_frames = ((s.u, s.U, s.du_dt, s.dU_dt) for s in (samples, lone))
-    assert np.array_equal(times, lone_times)
-    assert all(f.shape == (n_steps // every + 1, 12) for f in frames)
-    assert np.array_equal(frames, lone_frames)
-
-
-@pytest.mark.parametrize("states, member, every", [
-    ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 0, 7),
-    ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 1, 300),
-    ([_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)], (), 4),
-    ([_random_state(512, seed=7)], (), 25),
-], ids=["stack-member-0", "stack-member-1", "stack-whole", "512-sites"])
-def test_simulate_matches_verlet_steps(states, member, every):
+@pytest.mark.parametrize("states, every", [
+    ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 7),
+    ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 300),
+    ([_random_state(12, seed=5, t=1.0), _random_state(12, seed=6, t=1.0)], 4),
+    ([_random_state(512, seed=7)], 25),
+], ids=["stack-every-7", "stack-every-300", "stack-whole", "512-sites"])
+def test_simulate_matches_verlet_steps(states, every):
     params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
     stack = _stack(*states, t=states[0].t)
     dt, n_steps = 0.05, 2000
     got = chain.simulate(stack, dt, n_steps, params, record_every=every)
     _assert_close_to_loop(stack, got, verify.verlet_steps(stack, dt, n_steps, params,
-                                                          record_every=every, member=member),
-                          member)
+                                                          record_every=every))
 
 
 @pytest.mark.parametrize("margin", [2.0, 2.5])
@@ -426,35 +407,33 @@ def test_simulate_translates_the_uniform_mode():
 def test_chain_checks_equal_two_lone_runs():
     rep = VerificationReport()
     verify._chain_checks(rep)
-    freq_check, drift_check, modified_check, map_check = rep.checks[-4:]
+    freq_check, verlet_check, drift_check, modified_check, map_check = rep.checks[-5:]
 
-    # the two runs as separate ``verify.verlet_steps`` calls
-    n_sites, mode = 64, 3
+    # the two runs as separate ``verify.verlet_steps`` calls, 10^4 steps each
+    n_sites, mode, n_steps = 64, 3, 10_000
     omega = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS)[0][1]
     omega_max = chain.max_frequency(PARAMS)
     dt = 0.01 / omega_max
-    n_steps = int(8 * 2 * math.pi / omega / dt)
     optical = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
     times, samples, optical_end = verify.verlet_steps(optical, dt, n_steps, PARAMS,
-                                                      record_every=4)
+                                                      record_every=8)
     measured = chain.measure_mode_frequency(times, samples.u[:, 0])
     acoustic = chain.init_mode(n_sites, mode, 1e-3, "acoustic", PARAMS)
     e0 = chain.total_energy(acoustic, PARAMS)
-    *_, final = verify.verlet_steps(acoustic, dt, 10_000, PARAMS, record_every=10_000)
+    *_, final = verify.verlet_steps(acoustic, dt, n_steps, PARAMS, record_every=n_steps)
     # and the closed-form map of each, compared with the loop's final state
     deviation = 0.0
-    for state, steps, end in ((optical, n_steps, optical_end), (acoustic, 10_000, final)):
-        *_, exact = chain.simulate(state, dt, steps, PARAMS, record_every=steps)
+    for state, end in ((optical, optical_end), (acoustic, final)):
+        *_, exact = chain.simulate(state, dt, n_steps, PARAMS, record_every=n_steps)
         deviation = max(deviation, np.abs(exact.x - end.x).max(),
                         np.abs(exact.v - end.v).max() / omega_max)
-    # the acoustic run's first n_steps, stepped with the optical one, equal its own
-    *_, acoustic_mid = verify.verlet_steps(acoustic, dt, n_steps, PARAMS, record_every=n_steps)
-    *_, exact = chain.simulate(acoustic, dt, n_steps, PARAMS, record_every=n_steps)
-    deviation = max(deviation, np.abs(exact.x - acoustic_mid.x).max(),
-                    np.abs(exact.v - acoustic_mid.v).max() / omega_max)
 
-    assert (n_steps, len(rep.checks)) == (9832, 5)
-    assert freq_check.measured == abs(measured - omega) / omega
+    assert (len(times), len(rep.checks)) == (1251, 6)
+    assert freq_check.measured == abs(measured - omega) / omega and freq_check.passed
+    omega_verlet = chain.verlet_frequency(omega, dt)
+    assert verlet_check.name == "measured frequency equals verlet_frequency"
+    assert verlet_check.measured == abs(measured - omega_verlet) / omega_verlet
+    assert verlet_check.passed
     assert drift_check.measured == abs(chain.total_energy(final, PARAMS) - e0) / e0
     h0, h1 = (chain.modified_energy(s, dt, PARAMS) for s in (acoustic, final))
     assert modified_check.measured == abs(h1 - h0) / h0 and modified_check.passed
@@ -468,18 +447,17 @@ def test_simulate_matches_exact_verlet_rotation(branch):
     # rotation at the modified frequency w~, sin(w~ dt / 2) = w dt / 2 (Hairer,
     # Lubich & Wanner, Geometric Numerical Integration, ch. I.5), so
     # x_j = x_0 cos(w~ j dt), for the closed form and for the stepping loop.
-    # Settings of verify's frequency run.
+    # Settings of verify's chain run.
     n_sites, mode = 64, 3
     omegas = chain.discrete_dispersion(2 * math.pi * mode / n_sites, PARAMS)[0]
     omega = omegas[dispersion.KINDS.index(branch)]
     dt = 0.01 / chain.max_frequency(PARAMS)
-    n_steps = int(8 * 2 * math.pi / omegas[1] / dt)
     omega_verlet = chain.verlet_frequency(omega, dt)
     state = chain.init_mode(n_sites, mode, 1e-3, branch, PARAMS)
     for stepper in (chain.simulate, verify.verlet_steps):
-        _, samples, _ = stepper(state, dt, n_steps, PARAMS, record_every=4)
+        _, samples, _ = stepper(state, dt, 10_000, PARAMS, record_every=8)
         us, Us = samples.u, samples.U
-        phase = np.cos(omega_verlet * dt * 4 * np.arange(len(us)))[:, None]
+        phase = np.cos(omega_verlet * dt * 8 * np.arange(len(us)))[:, None]
         err = max(np.abs(us - state.u * phase).max(), np.abs(Us - state.U * phase).max())
         assert err < 1e-10 * 1e-3
 
@@ -584,11 +562,6 @@ def test_simulate_rejects_bad_arguments():
         for dt, n_steps, every in ((0.05, 10, 0), (0.0, 10, 1), (0.05, -1, 1)):
             with pytest.raises(ValueError):
                 stepper(state, dt, n_steps, PARAMS, record_every=every)
-    # the loop's member indexes the leading axes of a stack, and by view, not by copy
-    stack = _stack(state, state)
-    for bad, member in ((state, 0), (stack, [0]), (stack, np.array([True, False]))):
-        with pytest.raises(ValueError):
-            verify.verlet_steps(bad, 0.05, 10, PARAMS, member=member)
 
 
 def test_measure_mode_frequency_single_mode():
@@ -600,7 +573,30 @@ def test_measure_mode_frequency_single_mode():
     n_steps = int(8 * 2 * math.pi / omega / dt)
     times, samples, _ = chain.simulate(state, dt, n_steps, PARAMS, record_every=4)
     measured = chain.measure_mode_frequency(times, samples.u[:, 0])
-    assert measured == pytest.approx(omega, rel=1e-4)
+    assert measured == pytest.approx(chain.verlet_frequency(omega, dt), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_measure_mode_frequency_recovers_a_partial_period_tone(seed):
+    # one tone over a non-integer number of periods, at a random phase: the
+    # linear-prediction estimate is exact, where zero-crossing spacings are not
+    rng = np.random.default_rng(seed)
+    theta, phase = rng.uniform(0.05, 0.5), rng.uniform(0, 2 * math.pi)
+    n = int(rng.uniform(8.1, 12.9) * 2 * math.pi / theta)
+    assert (n * theta / (2 * math.pi)) % 1 > 0.01
+    dt = 0.37
+    signal = np.cos(theta * np.arange(n) + phase)
+    measured = chain.measure_mode_frequency(dt * np.arange(n), signal)
+    assert measured * dt == pytest.approx(theta, rel=1e-12)
+
+
+def test_measure_mode_frequency_rejects_an_estimate_with_no_angle():
+    # the Nyquist tone (-1)^j with raised end samples: its crossings are even,
+    # but sin^2(theta / 2) > 1 has no angle, so it raises, not a math domain error
+    signal = (-1.0) ** np.arange(40)
+    signal[[0, -1]] *= 1.01
+    with pytest.raises(ValueError, match="no single tone"):
+        chain.measure_mode_frequency(np.arange(40.0), signal)
 
 
 def test_measure_mode_frequency_equilibrium_errors():

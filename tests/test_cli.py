@@ -85,7 +85,7 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in rep["checks"])
     assert any("single momentum term" in n for n in rep["notes"])
     assert rep["seed"] == 20240817 and "fast" not in rep
-    assert len(rep["checks"]) == 51
+    assert len(rep["checks"]) == 52
     assert set(rep["versions"]) == {"python", "numpy", "platform"}
 
 
@@ -143,6 +143,15 @@ def test_chain_summary_reports_the_run(tmp_path):
     assert s["omega_verlet"] > s["omega_dispersion"]
     assert s["relative_modified_energy_drift"] < 1e-12
     assert s["n_steps"] == int(8 * 2 * math.pi / s["omega_dispersion"] / s["dt"])
+
+
+@pytest.mark.parametrize("argv", [["--periods", "12.25"], ["--n", "512", "--mode", "6"]])
+def test_chain_measures_the_verlet_frequency(tmp_path, argv):
+    # a partial last period no longer biases the measured frequency
+    summ = tmp_path / "summary.json"
+    assert main(["chain", *argv, "-o", os.devnull, "--summary", str(summ)]) == 0
+    s = json.loads(summ.read_text())
+    assert abs(s["omega_measured"] - s["omega_verlet"]) / s["omega_verlet"] <= 1e-12
 
 
 def test_chain_periods_keep_eight_frames_a_period(tmp_path, capsys):

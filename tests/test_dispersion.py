@@ -189,3 +189,13 @@ def test_modes_ignore_the_amplitude_fault():
     assert faulted_b3 == pytest.approx(1.01 * clean_b3, rel=1e-14)
     for a, b in zip(clean, faulted):
         assert np.array_equal(a, b)
+
+
+def test_modes_take_a_scalar_as_one_wavenumber():
+    qp = QuantumParams(epsilon=0.5)
+    scalar, listed = dsp.modes(0.7, qp), dsp.modes([0.7], qp)
+    assert [a.shape for a in scalar] == [(1, 4), (1, 4, 4), (1, 4, 4)]
+    for a, b in zip(scalar, listed):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="1-D"):
+        dsp.modes(np.zeros((2, 3)), qp)
