@@ -4,13 +4,15 @@ simulation, plane-wave catalogs, and packet evolution.
 Output conventions: every subcommand echoes the resolved unit system and mass
 ratio on comment lines starting with '#'; floats are written in shortest
 round-trip form, byte for byte as ``repr`` writes them (CSV cells by
-``textfmt.cells``, whole columns at a time); CSV uses '\\n' line endings.
+``textfmt.cells``, a pass of rows at a time on up to two worker threads, see
+``_csv``); CSV uses '\\n' line endings.
 Exit codes: 0 success, 1 verification/runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import json
@@ -76,38 +78,72 @@ def _header(units: str, epsilon) -> list[str]:
     return [f"# units: {units}", f"# epsilon: {epsilon!r}"]
 
 
-_CHUNK_CELLS = 8192  # cells formatted per pass, which bounds the memory a table takes
+_CHUNK_CELLS = 16384  # cells formatted per pass, which bounds the memory a pass takes
 
 
 def _csv(head: list[str], shape, columns):
-    """Yield the header lines, then the table's CSV lines, about 8k cells at a time.
+    """Yield the header lines, then the table's CSV lines, one pass of about 16k cells at a time.
 
-    The table has a row per index of ``shape``, in C order.  Each column
-    broadcasts to ``shape`` and holds either float64 values or cells already
-    written: uint8 text, NUL-padded along one more trailing axis.  A chunk
-    copies from each column only the leading indices that hold its rows, never
-    the whole column.  Floats are written by ``textfmt.cells``, byte for byte
-    as ``repr`` writes them; each chunk's cells and separators are laid into
-    one NUL-padded byte block, compacted once and decoded once.
+    The table has a row per index of ``shape``, in C order.  Each column has
+    an axis per axis of ``shape``, of its length or of length 1 where the
+    column broadcasts, and holds either float64 values or cells already
+    written: uint8 text, NUL-padded along one more trailing axis.  Each pass
+    is formatted by ``_pass`` on a pool of worker threads, one per usable CPU
+    up to two, and yielded in order, so the bytes do not depend on the worker
+    count.  Each pass runs in a copy of the caller's context, so it keeps the
+    caller's ``np.errstate``.  At most one pass more than there are workers is
+    in flight, which bounds the memory.  Closing the generator early, or an
+    error in a pass, cancels the queued passes and joins the workers.
     """
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
     yield "".join(line + "\n" for line in head)
-    n_rows, inner = math.prod(shape), math.prod(shape[1:])  # rows per leading index
+    n_rows = math.prod(shape)
     step = max(_CHUNK_CELLS // len(columns), 1)
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        first, last = start // inner, -(-stop // inner)
-        offset = first * inner
-        taken = [np.broadcast_to(col, shape + col.shape[len(shape):])[first:last]
-                 .reshape(-1, *col.shape[len(shape):])[start - offset:stop - offset]
-                 for col in columns]
-        floats = [j for j, col in enumerate(taken) if col.dtype != np.uint8]
-        written = textfmt.cells(np.stack([taken[j] for j in floats]))
-        for j, cells in zip(floats, written):
-            taken[j] = cells
-        comma = np.full((len(taken[0]), 1), ord(","), dtype=np.uint8)
-        block = np.concatenate([part for cells in taken for part in (cells, comma)], axis=1)
-        block[:, -1] = ord("\n")
-        yield block[block != 0].tobytes().decode("ascii")
+    textfmt.cells(())  # builds the kernel's tables here, not in two workers at once
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(2, usable)
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="dirac8-csv")
+    pending = collections.deque()
+    try:
+        for start in range(0, n_rows, step):
+            pending.append(pool.submit(contextvars.copy_context().run, _pass, shape, columns,
+                                       start, min(start + step, n_rows)))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _pass(shape, columns, start: int, stop: int) -> str:
+    """The CSV lines of rows start to stop of ``_csv``'s table.
+
+    A pass gathers from each column its own rows and no more; a column that
+    broadcasts is read at index 0 along its length-1 axes.  The float columns
+    are taken first and written by ``textfmt.cells``, byte for byte as
+    ``repr`` writes them; then every column's cells and the separators are
+    laid into one NUL-padded byte block, compacted once and decoded once.
+    """
+    index = np.unravel_index(np.arange(start, stop), shape)
+
+    def rows(col):
+        return col[tuple(i if n > 1 else 0 for i, n in zip(index, col.shape))]
+
+    written = iter(textfmt.cells(np.stack([rows(col) for col in columns
+                                           if col.dtype != np.uint8])))
+    comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
+    block = np.concatenate([part for col in columns for part in
+                            (rows(col) if col.dtype == np.uint8 else next(written), comma)],
+                           axis=1)
+    del written, index  # the block holds the cells now; free them before compacting it
+    block[:, -1] = ord("\n")
+    text = block[block != 0]
+    del block
+    return str(text, "ascii")
 
 
 def _write(path, chunks) -> None:
@@ -183,7 +219,9 @@ def cmd_chain(args) -> int:
     times, samples, final = chain_mod.simulate(state, dt, n_steps, params,
                                                record_every=record_every)
     try:  # the uniform translation mode (omega = 0) does not oscillate
-        measured = chain_mod.measure_mode_frequency(times, samples.u[:, 0]) if omega > 0 else 0.0
+        # at the exact spacing of the recorded steps, not the summed clock of the t column
+        measured = chain_mod.measure_mode_frequency(
+            record_every * dt * np.arange(len(times)), samples.u[:, 0]) if omega > 0 else 0.0
     except ValueError as exc:  # e.g. an amplitude so small that the displacements underflow
         raise _RunError(str(exc)) from None
 

@@ -12,10 +12,17 @@ in 32-bit limbs.  g is multiplied by v once: the bounds differ from v by a
 power of two, so their products are those words plus or minus a shift of g.
 Trailing zeros are stripped by exact division (times the inverse of 5^j
 modulo 2^64, then a rotation), the digit count is a binary search in the
-powers of ten, and one ``np.take`` gathers each value's bytes by its layout.
+powers of ten, and ``np.take`` gathers each value's bytes by its layout.
 The layout is ``repr``'s: positional for decimal exponents -5 < e < 16,
 with ``.0`` on integers, else ``d.ddde±XX``; and ``nan``, ``inf``,
 ``-inf``, ``-0.0``.
+
+The arithmetic runs in place, into buffers that are reused from step to
+step, and the byte offsets of the gather are formed ``_GATHER`` values at a
+time, so a call's working set is about 90 bytes a value (under tracemalloc,
+at the CLI's passes of 4 x 2,730 values): the seven uint64 buffers of
+``_bounds``, then the source rows, the output and one block of offsets.  The
+calls share nothing but the cached tables, so threads can run them at once.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ _M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
 # Slots of the per-value source rows that a layout picks bytes from: 17 digits,
 # right-aligned, then four constants, the exponent's sign, its 3 digits and NUL.
 _ZERO, _DOT, _MINUS, _E, _EXP_SIGN, _EXP, _NUL = 17, 18, 19, 20, 21, 22, 25
+_GATHER = 1024  # values whose byte offsets are gathered at once
 _FORMS = 22  # decimal point after digit -3 .. 16 (positional), then 2- and 3-digit exponents
 
 
@@ -56,7 +64,8 @@ def _layout(negative: bool, n_digits: int, form: int) -> list[int]:
 def _tables():
     """g per k from k = -324, as rows g >> 63 and g & (2^63 - 1), and r; every
     layout; the powers of ten 10 .. 10^16; per decimal exponent from -324, its
-    sign and three digits, and the form its layouts take.
+    sign and three digits, and the form its layouts take; and the four digits
+    of each of 0 .. 9999.
 
     10^-k = beta 2^r with 2^125 <= beta < 2^126, and g = floor(beta) + 1,
     exact in Python ints.  Built on first use, not at import.
@@ -77,30 +86,51 @@ def _tables():
                for n_digits in range(1, 18) for form in range(_FORMS)]
     exponents = range(-324, 309)
     return (np.array(g_halves, dtype=np.uint64).T.copy(), np.array(shifts, dtype=np.int64),
-            np.array(layouts, dtype=np.uint8), 10 ** np.arange(1, 17, dtype=np.uint64),
+            np.array(layouts, dtype=np.intp), 10 ** np.arange(1, 17, dtype=np.uint64),
             np.frombuffer("".join(f"{e:+04d}" for e in exponents).encode(),
                           dtype=np.uint8).reshape(-1, 4).T.copy(),
-            np.array([e + 4 if -5 < e < 16 else 20 + (abs(e) >= 100) for e in exponents]))
+            np.array([e + 4 if -5 < e < 16 else 20 + (abs(e) >= 100) for e in exponents]),
+            (np.arange(10_000, dtype=np.uint16) // np.array([[1000], [100], [10], [1]], np.uint16)
+             % 10 + ord("0")).astype(np.uint8))
 
 
-def _mul128(a: np.ndarray, b: np.ndarray):
-    """The high and low 64-bit words of a * b, uint64 arrays that broadcast, in 32-bit limbs."""
-    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    low, cross1, cross2 = a0 * b0, a1 * b0, a0 * b1
-    mid = (low >> 32) + (cross1 & _M32) + (cross2 & _M32)
-    return (a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (mid >> 32),
-            (low & _M32) | (mid << 32))
+def _mul128(a0, a1, high, low, t) -> None:
+    """The high and low 64-bit words of a b into high and low.
 
-
-def _round_to_odd(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Schubfach's rop: g cp / 2^127 rounded to odd, for g = g1 2^63 + g0.
-
-    high and low are the words of g1 cp (row 0) and g0 cp (row 1).  As in the
-    reference, the low bit of g1 cp and the low word of g0 cp are dropped,
-    which cancels the + 1 of g where 10^-k 2^-r is an integer.
+    All are uint64 arrays of one shape.  a is given as its 32-bit limbs a0 and
+    a1, b as its limbs in high and low; a0, a1 and b are overwritten, and t is
+    scratch.  b < 2^60, so the two cross products add up without overflow.
     """
-    z = (low[0] >> 1) + high[1]
-    return (high[0] + (z >> 63)) | ((z & _M63) != 0)
+    np.multiply(a1, high, out=t)  # the high limbs' product
+    np.multiply(a0, high, out=high)
+    np.multiply(a0, low, out=a0)  # the low limbs' product
+    np.multiply(a1, low, out=low)
+    low += high  # the cross products
+    np.right_shift(a0, 32, out=high)
+    low += high  # the middle word
+    a0 &= _M32
+    np.right_shift(low, 32, out=high)
+    high += t
+    low <<= 32
+    low |= a0
+
+
+def _round_to_odd(high0, low0, high1, out, z) -> np.ndarray:
+    """Schubfach's rop into out: g cp / 2^127 rounded to odd, for g = g1 2^63 + g0.
+
+    high0 and low0 are the words of g1 cp, high1 the high word of g0 cp; z is
+    scratch.  out may be high1 and z may be low0.  As in the reference, the
+    low bit of g1 cp and the low word of g0 cp are dropped, which cancels the
+    + 1 of g where 10^-k 2^-r is an integer.
+    """
+    np.right_shift(low0, 1, out=z)
+    z += high1
+    np.right_shift(z, 63, out=out)
+    out += high0
+    z <<= 1
+    np.minimum(z, 1, out=z)  # the low 63 bits of z are not all zero
+    out |= z
+    return out
 
 
 def _bounds(c: np.ndarray, q: np.ndarray):
@@ -108,25 +138,58 @@ def _bounds(c: np.ndarray, q: np.ndarray):
 
     v = c 2^q, and each is rop(g, x 2^h) at x = 4c - 2 (4c - 1 where the gap
     below v is half the gap above), 4c and 4c + 2.  g cp is multiplied out
-    once, at 4c 2^h; the bounds add or take away g 2^(h+1) (g 2^h), a shift
-    of g, word by word with the carry or borrow.
+    once, at 4c 2^h, as the words of g1 cp and g0 cp.  The bounds add g 2^(h+1)
+    to those words, then take it and g 2^(h+1) (g 2^h) away, shifts of g, word
+    by word with the carry or borrow.  All of it runs in place in seven
+    buffers of 8 bytes a value, the largest working set of the kernel.
     """
     g, r = _tables()[:2]
     asymmetric = (c == 1 << 52) & (q > -1074)
-    k = (q * 661_971_961_083 - asymmetric * 274_743_187_321) >> 41  # floor(log10(width))
-    at = k - _K_MIN
-    h = (q + np.take(r, at) + 127).astype(np.uint64)  # 2 .. 5
-    g = np.take(g, at, axis=1)  # rows g1 and g0
-    high, low = _mul128(g, c << (h + 2))  # the words of g1 cp and g0 cp at cp = 4c 2^h
-    vb = _round_to_odd(high, low)
-    shift = h + 1
-    gl, gh = g << shift, g >> (64 - shift)  # the words of g 2^(h+1)
-    up = low + gl
-    vbr = _round_to_odd(high + gh + (up < gl), up)
+    at = np.multiply(q, 661_971_961_083, dtype=np.int64)
+    np.subtract(at, 274_743_187_321, out=at, where=asymmetric)
+    at >>= 41  # floor(log10(width))
+    k = at.astype(np.int16)
+    at -= _K_MIN
+    shift = np.take(r, at)
+    shift += q
+    shift += 128
+    shift = shift.astype(np.uint8)  # h + 1, 3 .. 6
+    a0, a1, t = (np.empty_like(c) for _ in range(3))
+    words = []  # the high and low words of g1 cp, then of g0 cp
+    for row in g:
+        np.take(row, at, out=t, mode="clip")
+        np.bitwise_and(t, _M32, out=a0)
+        np.right_shift(t, 32, out=a1)
+        high, low = np.empty_like(c), np.empty_like(c)
+        np.left_shift(c, shift + 1, out=low)  # cp = 4c 2^h
+        np.right_shift(low, 32, out=high)
+        low &= _M32
+        _mul128(a0, a1, high, low, t)
+        words += [high, low]
+
+    def add(op) -> None:
+        """Add g 2^shift to the words (op np.subtract: take it away), with the carry."""
+        for row, high, low in zip(g, words[::2], words[1::2]):
+            np.take(row, at, out=t, mode="clip")
+            np.left_shift(t, shift, out=t)  # the low word of g's row times 2^shift
+            if op is np.subtract:
+                carry = low < t
+            op(low, t, out=low)
+            if op is np.add:
+                carry = low < t
+            np.take(row, at, out=t, mode="clip")
+            np.right_shift(t, 64 - shift, out=t)  # its high word
+            op(high, t, out=high)
+            op(high, carry, out=high)
+
+    high0, low0, high1, _ = words
+    vb = _round_to_odd(high0, low0, high1, a0, t)
+    add(np.add)
+    vbr = _round_to_odd(high0, low0, high1, a1, t)
+    add(np.subtract)
     shift -= asymmetric
-    gl, gh = g << shift, g >> (64 - shift)
-    vbl = _round_to_odd(high - gh - (low < gl), low - gl)
-    return k, vbl, vb, vbr
+    add(np.subtract)
+    return k, _round_to_odd(high0, low0, high1, high1, low0), vb, vbr
 
 
 def _shortest(c: np.ndarray, q: np.ndarray):
@@ -136,54 +199,84 @@ def _shortest(c: np.ndarray, q: np.ndarray):
     in no zero.
     """
     k, vbl, vb, vbr = _bounds(c, q)
-    odd = c & 1  # an even c reads back from the bounds of its interval too
-    s = vb >> 2
-    sp10 = s // 10 * 10  # the multiples of 10^(k+1) either side of v
-    tp10 = sp10 + 10
-    upin = vbl + odd <= sp10 << 2
-    wpin = (tp10 << 2) + odd <= vbr
-    t = s + 1  # the multiples of 10^k either side of v
-    uin = vbl + odd <= s << 2
-    win = (t << 2) + odd <= vbr
-    cmp = vb.astype(np.int64) - ((s + t) << 1).astype(np.int64)
-    nearer_s = np.where(uin != win, uin, (cmp < 0) | ((cmp == 0) & (s & 1 == 0)))
-    digits = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(nearer_s, s, t))
+    # an even c reads back from the bounds of its interval too: x + odd <= vbr
+    # is x <= vbr - odd, and vbl + odd <= x keeps its form
+    odd = c & 1
+    vbl += odd
+    vbr -= odd
+    del odd
+    digits = vb >> 2  # s, then the digits
+    ten = digits // 10
+    ten *= 10  # the multiple of 10^(k+1) below v; 10 more is the one above
+    x = ten << 2
+    upin = vbl <= x
+    x += 40
+    wpin = x <= vbr
+    np.left_shift(digits, 2, out=x)  # the multiples s and s + 1 of 10^k either side of v
+    uin = vbl <= x
+    x += 4
+    win = x <= vbr
+    del vbl, vbr
+    np.bitwise_and(vb, 3, out=x)  # vb - 4s - 2 has the sign of these bits less 2
+    nearer_s = (x < 2) | ((x == 2) & (digits & 1 == 0))
+    np.copyto(nearer_s, uin, where=uin != win)
+    np.logical_not(nearer_s, out=nearer_s)
+    digits += nearer_s
+    np.copyto(digits, ten, where=upin & ~wpin)
+    ten += 10
+    np.copyto(digits, ten, where=wpin & ~upin)
+    del ten, upin, wpin, uin, win, nearer_s
     for j in (16, 8, 4, 2, 1):  # strip trailing zeros by exact division, 10^j = 5^j 2^j
-        x = digits * pow(5, -j, 1 << 64)  # digits / 5^j modulo 2^64
-        x = (x >> j) | (x << (64 - j))  # rotated: digits / 10^j where that is exact, else larger
+        np.multiply(digits, pow(5, -j, 1 << 64), out=x)  # digits / 5^j modulo 2^64
+        np.left_shift(x, 64 - j, out=vb)
+        x >>= j
+        x |= vb  # rotated: digits / 10^j where that is exact, else larger
         hit = x <= ((1 << 64) - 1) // 10**j
         np.copyto(digits, x, where=hit)
-        k += hit * j
+        np.add(k, j, out=k, where=hit)
     return digits, k
 
 
 def _sources(bits: np.ndarray):
     """The source rows, one per slot and one column per value, and each value's layout."""
     n = len(bits)
-    exponent = (bits >> 52) & 0x7FF
-    fraction = bits & ((1 << 52) - 1)
+    q = (bits >> 52).astype(np.int16)
+    q &= 0x7FF  # the biased exponent
+    c = bits & ((1 << 52) - 1)
+    np.bitwise_or(c, 1 << 52, out=c, where=q != 0)
     zero = (bits << 1) == 0
-    c = np.where(exponent != 0, fraction | (1 << 52), fraction)
-    c[zero | (exponent == 0x7FF)] = 1  # formatted as 5e-324, then overwritten
-    digits, k = _shortest(c, np.maximum(exponent.astype(np.int64), 1) - 1075)
-    digits[zero] = 0
-    _, _, _, tens, exponents, forms = _tables()
-    n_digits = np.searchsorted(tens, digits, side="right") + 1
-    e = np.where(zero, 0, k + n_digits - 1) + 324  # the decimal exponent, from -324
+    np.copyto(c, 1, where=zero | (q == 0x7FF))  # formatted as 5e-324, then overwritten
+    np.maximum(q, 1, out=q)
+    q -= 1075
+    digits, k = _shortest(c, q)
+    del c, q
+    np.copyto(digits, 0, where=zero)
+    _, _, _, tens, exponents, forms, quads = _tables()
+    more_digits = np.searchsorted(tens, digits, side="right")  # the digit count less one
+    e = k  # the decimal exponent, from -324
+    e += more_digits
+    e += 324
+    np.copyto(e, 324, where=zero)
 
     # the digits, right-aligned in 17 slots, split 9 + 8 into uint32
     src = np.empty((_NUL + 1, n), dtype=np.uint8)
     high = (digits // 10**8).astype(np.uint32)
     low = (digits - high * np.uint64(10**8)).astype(np.uint32)
-    for part, slots in ((low, range(16, 8, -1)), (high, range(8, -1, -1))):
-        for slot in slots:
-            rest = part // 10
-            src[slot] = part - rest * 10 + ord("0")
-            part = rest
+    del digits
+    for part, right in ((low, 13), (high, 5)):  # four digits at a time, from the right
+        for slot in (right, right - 4):
+            part, four = np.divmod(part, 10_000)
+            np.take(quads, four, axis=1, out=src[slot:slot + 4], mode="clip")
+    src[0] = part + ord("0")  # the ninth digit of high, left over from its two quads
     src[_ZERO:_EXP_SIGN] = np.frombuffer(b"0.-e", dtype=np.uint8)[:, None]
     src[_EXP_SIGN:_NUL] = np.take(exponents, e, axis=1)
     src[_NUL] = 0
-    return src, ((bits >> 63).astype(np.intp) * 17 + n_digits - 1) * _FORMS + np.take(forms, e)
+    rows = (bits >> 63).astype(np.int16)
+    rows *= 17
+    rows += more_digits
+    rows *= _FORMS
+    rows += np.take(forms, e)
+    return src, rows
 
 
 def cells(values) -> np.ndarray:
@@ -194,10 +287,16 @@ def cells(values) -> np.ndarray:
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     n = len(flat)
     src, rows = _sources(flat.view(np.uint64))
-    # each value's layout as offsets into src
-    at = np.take(np.multiply(_tables()[2], n, dtype=np.intp), rows, axis=0)
-    at += np.arange(n)[:, None]
-    out = np.take(src.reshape(-1), at)
+    src = src.reshape(-1)
+    layouts = _tables()[2]
+    out = np.empty((n, WIDTH), dtype=np.uint8)
+    at = np.empty((min(n, _GATHER), WIDTH), dtype=np.intp)
+    for start in range(0, n, _GATHER):  # the (values, WIDTH) offsets a block at a time
+        block = at[:n - start]
+        np.take(layouts, rows[start:start + _GATHER], axis=0, out=block, mode="clip")
+        block *= n  # each layout's source rows as offsets into src
+        block += np.arange(start, start + len(block))[:, None]
+        np.take(src, block, out=out[start:start + _GATHER], mode="clip")
     if not np.isfinite(flat).all():
         for text, hit in ((b"nan", np.isnan(flat)), (b"inf", flat == np.inf),
                           (b"-inf", flat == -np.inf)):

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -145,13 +147,15 @@ def test_chain_summary_reports_the_run(tmp_path):
     assert s["n_steps"] == int(8 * 2 * math.pi / s["omega_dispersion"] / s["dt"])
 
 
-@pytest.mark.parametrize("argv", [["--periods", "12.25"], ["--n", "512", "--mode", "6"]])
+@pytest.mark.parametrize("argv", [["--periods", "12.25"], ["--n", "512", "--mode", "6"],
+                                  ["--n", "128", "--mode", "1", "--branch", "acoustic"]])
 def test_chain_measures_the_verlet_frequency(tmp_path, argv):
-    # a partial last period no longer biases the measured frequency
+    # a partial last period does not bias the measured frequency, and the spacing of
+    # the recorded steps is exact however many steps the run takes (364,518 in the last)
     summ = tmp_path / "summary.json"
     assert main(["chain", *argv, "-o", os.devnull, "--summary", str(summ)]) == 0
     s = json.loads(summ.read_text())
-    assert abs(s["omega_measured"] - s["omega_verlet"]) / s["omega_verlet"] <= 1e-12
+    assert abs(s["omega_measured"] - s["omega_verlet"]) / s["omega_verlet"] <= 1e-13
 
 
 def test_chain_periods_keep_eight_frames_a_period(tmp_path, capsys):
@@ -327,6 +331,129 @@ def test_closed_stdout_exits_1_quietly():
                    "sys.exit(p.wait())")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+# The CSV pipeline: passes formatted on worker threads and written in order.
+def _table():
+    """A small _csv table of many passes: a written column, then four float columns."""
+    values = np.random.default_rng(19).standard_normal((4, 37, 11))
+    labels = np.arange(11).astype("S").view(np.uint8).reshape(1, 11, -1)
+    return ["# head", "label,a,b,c,d"], (37, 11), [labels, *values]
+
+
+def _csv_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("dirac8-csv")]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Passes of 12 rows on two workers, and each ``textfmt.cells`` call's values,
+    thread and overflow mode."""
+    from dirac8 import cli, textfmt
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 60)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls, cells = [], textfmt.cells
+
+    def recorded(values):
+        values = np.asarray(values, dtype=float)
+        calls.append((values, threading.current_thread().name, np.geterr()["over"]))
+        return cells(values)
+
+    monkeypatch.setattr(textfmt, "cells", recorded)
+    return calls
+
+
+def _serial(head, shape, columns):
+    """The table as one pass on the calling thread: the pipeline's reference."""
+    from dirac8 import cli
+    return "".join(line + "\n" for line in head) + cli._pass(shape, columns, 0, math.prod(shape))
+
+
+def test_csv_passes_finishing_out_of_order_are_written_in_order(passes, monkeypatch):
+    from dirac8 import cli, textfmt
+    head, shape, columns = _table()
+    expected = _serial(head, shape, columns)
+    first, finished, recorded = columns[1].flat[0], [], textfmt.cells
+
+    def first_pass_sleeps(values):
+        values = np.asarray(values, dtype=float)
+        if values.size and values.flat[0] == first:
+            time.sleep(0.2)
+        out = recorded(values)
+        if values.size:
+            finished.append(values.flat[0])
+        return out
+
+    monkeypatch.setattr(textfmt, "cells", first_pass_sleeps)
+    assert "".join(cli._csv(head, shape, columns)) == expected
+    assert len(finished) == 34 and finished[0] != first  # a later pass finished first
+
+
+def test_csv_passes_match_the_serial_table_under_fast_thread_switching(passes):
+    from dirac8 import cli
+    head, shape, columns = _table()
+    expected = _serial(head, shape, columns)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert "".join(cli._csv(head, shape, columns)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_csv_reraises_a_pass_error_and_joins_its_workers(passes, monkeypatch):
+    from dirac8 import cli, textfmt
+    head, shape, columns = _table()
+    baseline = threading.active_count()
+    third, recorded = columns[1].flat[2 * 12], textfmt.cells  # the first float of pass 3
+
+    def third_pass_fails(values):
+        values = np.asarray(values, dtype=float)
+        if values.size and values.flat[0] == third:
+            raise RuntimeError("pass 3")
+        return recorded(values)
+
+    monkeypatch.setattr(textfmt, "cells", third_pass_fails)
+    with pytest.raises(RuntimeError, match="pass 3"):
+        "".join(cli._csv(head, shape, columns))
+    assert threading.active_count() == baseline and not _csv_threads()
+
+
+def test_closing_the_csv_generator_early_joins_its_workers(passes):
+    from dirac8 import cli
+    head, shape, columns = _table()
+    first = cli._pass(shape, columns, 0, 12)
+    passes.clear()
+    baseline = threading.active_count()
+    chunks = cli._csv(head, shape, columns)
+    assert next(chunks) == "# head\nlabel,a,b,c,d\n"
+    assert next(chunks) == first
+    assert _csv_threads()
+    chunks.close()
+    assert threading.active_count() == baseline and not _csv_threads()
+    # of the table's 34 passes, no more than the three in flight were formatted
+    assert sum(values.size > 0 for values, _, _ in passes) <= 3
+
+
+def test_csv_workers_keep_mains_float_errors(passes, tmp_path):
+    assert main(["chain", "--n", "16", "-o", str(tmp_path / "t.csv"),
+                 "--summary", str(tmp_path / "s.json")]) == 0
+    workers = [over for _, thread, over in passes if thread.startswith("dirac8-csv")]
+    assert workers and set(workers) == {"raise"}
+    assert np.geterr()["over"] == "warn"  # outside main
+
+
+def test_one_usable_cpu_writes_the_same_bytes(passes, tmp_path, monkeypatch):
+    argv = ["chain", "--n", "16", "--mode", "3", "--summary", str(tmp_path / "s.json"), "-o"]
+    assert main([*argv, str(tmp_path / "two.csv")]) == 0
+    two = {thread for _, thread, _ in passes if thread.startswith("dirac8-csv")}
+    passes.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main([*argv, str(tmp_path / "one.csv")]) == 0
+    one = {thread for _, thread, _ in passes if thread.startswith("dirac8-csv")}
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+    assert two == {"dirac8-csv_0", "dirac8-csv_1"} and one == {"dirac8-csv_0"}
 
 
 @pytest.mark.parametrize("samples", ["0", "-3", "two"])

@@ -133,19 +133,21 @@ def test_cells_keep_the_shape_and_pad_with_nul():
 
 
 def test_cells_peak_memory_on_a_cli_chunk():
-    # the CLI formats 4 columns of 1,365 rows per pass; 1,654,516 bytes was the peak
-    # of the kernel that multiplied out each bound's products separately
-    values = np.sin(np.arange(4 * 1365.0)).reshape(4, 1365) * 1e-3
-    textfmt.cells(values)  # the tables are built on the first call only
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        textfmt.cells(values)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1_654_516
+    # 4 columns of 1,365 rows: 1,654,516 bytes was the peak of the kernel that multiplied
+    # out each bound's products separately.  4 columns of 2,730 rows, the chain's pass:
+    # 954,112 bytes measured, bounded at 88 bytes a value.
+    for rows, bound in ((1365, 1_654_516), (2730, 88 * 4 * 2730)):
+        values = np.sin(np.arange(4.0 * rows)).reshape(4, rows) * 1e-3
+        textfmt.cells(values)  # the tables are built on the first call only
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            textfmt.cells(values)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, rows
 
 
 # The CLI's CSV before the kernel: the independent reference for whole files.
@@ -161,7 +163,7 @@ def _csv(head, frames):
     ([], 128, {}),
     (["--n", "16", "--mode", "3", "--branch", "acoustic", "--I", "0.7", "--M", "2.5"], 16,
      {"I": 0.7, "M": 2.5}),
-    # chunks of 1,365 rows that cross the 512-site frames
+    # passes of 2,730 rows that cross the 512-site frames
     (["--n", "512", "--mode", "3"], 512, {}),
     (["--n", "512", "--mode", "220", "--branch", "acoustic"], 512, {})],
     ids=["defaults", "acoustic", "n512-optical", "n512-acoustic"])
@@ -195,6 +197,19 @@ def test_evolve_file_is_the_repr_reference(tmp_path, n_grid):
     head = ["# units: natural (hbar = c = m_e = 1)", "# epsilon: 0.5",
             "t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
     assert csv.read_text() == "".join(_csv(head, frames))
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["two-passes", "one-row-more"])
+def test_dispersion_file_ends_on_a_pass_boundary(tmp_path, extra):
+    from dirac8 import cli
+    n = 2 * (cli._CHUNK_CELLS // len(dispersion.FIGURE2_COLUMNS)) + extra
+    csv = tmp_path / "disp.csv"
+    assert main(["dispersion", "--n", str(n), "-o", str(csv)]) == 0
+    grid = np.linspace(-3.0, 3.0, n)
+    head = ["# units: natural (hbar = c = m_e = 1)", "# epsilon: 0.5",
+            ",".join(dispersion.FIGURE2_COLUMNS)]
+    table = dispersion.figure2_table(grid, QuantumParams(epsilon=0.5)).T
+    assert csv.read_text() == "".join(_csv(head, [((), table)]))
 
 
 def test_dispersion_file_is_the_repr_reference(tmp_path):
