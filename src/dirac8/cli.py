@@ -184,7 +184,8 @@ def cmd_verify(args) -> int:
             {"epsilon": args.epsilon, "seed": verify.SEED,
              "versions": {"python": platform.python_version(), "numpy": np.__version__,
                           "platform": platform.platform()},
-             "passed": rep.passed, "notes": rep.notes, "checks": rep.to_rows()},
+             "passed": rep.passed, "notes": rep.notes, "checks": rep.to_rows(),
+             "timings": rep.timings},
             indent=2) + "\n"])
     return 0 if rep.passed else 1
 
@@ -242,7 +243,7 @@ def cmd_chain(args) -> int:
         "relative_error": abs(measured - omega) / omega if omega > 0 else 0.0,
         "continuum_convergence_exponent": slope,
         "epsilon": params.epsilon,
-        "dt": dt, "n_steps": n_steps, "stability_margin": margin,
+        "dt": dt, "n_steps": n_steps, "n_samples": len(times), "stability_margin": margin,
         "relative_energy_drift": abs(e1 - e0) / e0 if e0 > 0 else None,
         "omega_verlet": omega_verlet,
         "relative_modified_energy_drift": abs(h1 - h0) / h0 if h0 > 0 else None,

@@ -29,6 +29,7 @@ class Check:
 class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)  # seconds per section
 
     def add(self, check: Check) -> None:
         self.checks.append(check)

@@ -8,6 +8,7 @@ pass/fail entry with its tolerance.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -161,9 +162,15 @@ def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: Cha
     a stack is bit-identical to its lone run, and a run split into two calls
     equals the unsplit one.
 
-    (u, U) is the interior of one preallocated (..., 2, n_sites + 2) buffer
-    whose two ghost columns hold the periodic neighbours, so the Laplacian is
-    a difference of slices, and every update writes in place.  Each
+    x lives in one flat buffer, species-major: the u row of every ring, then
+    the U row of every ring, then a mirror copy of the u rows.  Each row is
+    n_sites + 2 wide, its two ghost cells holding the periodic neighbours, so
+    with h = rings (n_sites + 2) the slices ``buf[1:2h-1]`` (x),
+    ``buf[:2h-2]`` (left), ``buf[2:2h]`` (right) and ``buf[1+h:3h-1]`` (the
+    other species: U for u, the mirrored u for U) are contiguous and every
+    step is 15 ufuncs and 3 copies on 1-D arrays, each writing in place; v and
+    the accelerations share the layout, and the coefficients are arrays of it.
+    The padding slots hold finite values that no result reads.  Each
     operation keeps the order of the written-out form
     ``lap = (roll(x, 1) + roll(x, -1)) - 2 x``,
     ``a = (K (x_other - x) + c lap) / mass``,
@@ -178,35 +185,53 @@ def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: Cha
         warnings.warn("time step exceeds the velocity-Verlet stability bound "
                       "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
     n, t = state.n_sites, state.t
-    xp = np.empty(state.x.shape[:-1] + (n + 2,))  # columns 0 and n + 1 are ghosts
-    x = xp[..., 1:-1]
-    x[...] = state.x
-    v = np.array(state.v)
-    ghost_lo, ghost_hi, last, first = xp[..., 0], xp[..., -1], xp[..., n], xp[..., 1]
-    left, right, swapped = xp[..., :-2], xp[..., 2:], x[..., ::-1, :]
-    coupling = np.array([[params.I], [params.J]])
-    mass = np.array([[params.m], [params.M]])
-    a, a_new, tmp = np.empty((3,) + x.shape)
-    half_dt, half_dt2 = 0.5 * dt, 0.5 * dt**2
+    rings = math.prod(state.x.shape[:-2])
+    h = rings * (n + 2)
+
+    def species_major(arr):  # (..., 2, n) -> a (2, rings, n) view when arr is contiguous
+        return np.moveaxis(arr.reshape(rings, 2, n), 1, 0)
+
+    buf, vbuf = np.zeros(3 * h), np.zeros(2 * h)
+    x_sites, v_sites = (b[:2 * h].reshape(2, rings, n + 2)[..., 1:-1] for b in (buf, vbuf))
+    x_sites[...], v_sites[...] = species_major(state.x), species_major(state.v)
+    x, left, right, other = buf[1:2 * h - 1], buf[:2 * h - 2], buf[2:2 * h], buf[1 + h:3 * h - 1]
+    v = vbuf[1:2 * h - 1]
+    rows = buf[:2 * h].reshape(2 * rings, n + 2)
+    ghost_lo, ghost_hi, last, first = rows[:, 0], rows[:, -1], rows[:, n], rows[:, 1]
+    mirror, u_rows = buf[2 * h:], buf[:h]
+
+    def per_slot(u_value, U_value):
+        return np.repeat(np.array([u_value, U_value], dtype=float), h)[1:2 * h - 1]
+
+    coupling, mass = per_slot(params.I, params.J), per_slot(params.m, params.M)
+    K, two, dt_full, half_dt2, half_dt = (np.full(len(x), c, dtype=float)
+                                      for c in (params.K, 2, dt, 0.5 * dt**2, 0.5 * dt))
+    a, a_new, tmp = np.empty((3, len(x)))
 
     def accelerations(out):
         np.copyto(ghost_lo, last)
         np.copyto(ghost_hi, first)
+        np.copyto(mirror, u_rows)               # after the ghosts: the mirror copies them too
         np.add(left, right, out=out)
-        np.multiply(x, 2, out=tmp)
+        np.multiply(x, two, out=tmp)
         np.subtract(out, tmp, out=out)          # Laplacian
         np.multiply(coupling, out, out=out)
-        np.subtract(swapped, x, out=tmp)        # (U - u, u - U)
-        np.multiply(params.K, tmp, out=tmp)
+        np.subtract(other, x, out=tmp)          # (U - u, u - U)
+        np.multiply(K, tmp, out=tmp)
         np.add(tmp, out, out=out)
         np.divide(out, mass, out=out)
 
     times = np.empty(n_steps // record_every + 1)
-    xs, vs = np.empty((2, len(times)) + x.shape)
-    times[0], xs[0], vs[0] = t, x, v
+    xs, vs = (np.empty((len(times),) + state.x.shape) for _ in range(2))
+    # (time, species, ring, site) views of the records, built once
+    xs_sites, vs_sites = (np.moveaxis(r.reshape(len(times), rings, 2, n), 2, 1)
+                          for r in (xs, vs))
+    times[0] = t
+    np.copyto(xs_sites[0], x_sites)
+    np.copyto(vs_sites[0], v_sites)
     accelerations(a)
     for i in range(1, n_steps + 1):
-        np.multiply(dt, v, out=tmp)
+        np.multiply(dt_full, v, out=tmp)
         np.add(x, tmp, out=x)
         np.multiply(half_dt2, a, out=tmp)
         np.add(x, tmp, out=x)
@@ -218,8 +243,13 @@ def verlet_steps(state: chain.LatticeState, dt: float, n_steps: int, params: Cha
         t = t + dt
         if i % record_every == 0:
             j = i // record_every
-            times[j], xs[j], vs[j] = t, x, v
-    return times, chain.LatticeState(xs, vs), chain.LatticeState(x.copy(), v, t)
+            times[j] = t
+            np.copyto(xs_sites[j], x_sites)
+            np.copyto(vs_sites[j], v_sites)
+    final_x, final_v = np.empty(state.x.shape), np.empty(state.x.shape)
+    np.copyto(species_major(final_x), x_sites)
+    np.copyto(species_major(final_v), v_sites)
+    return times, chain.LatticeState(xs, vs), chain.LatticeState(final_x, final_v, t)
 
 
 def _chain_checks(rep: VerificationReport) -> None:
@@ -297,6 +327,7 @@ def full_report(epsilon: float = 0.5, corrupt: str | None = None,
     """Run all 52 checks, the one configuration; the report's `passed` gates exit status.
 
     ``seed`` seeds the random draws; ``corrupt`` names a ``planewaves`` fault to switch on.
+    ``rep.timings`` holds the seconds each ``_*_checks`` section took, by function name.
     """
     rng = np.random.default_rng(seed)
     qp = QuantumParams(epsilon=epsilon)
@@ -304,14 +335,14 @@ def full_report(epsilon: float = 0.5, corrupt: str | None = None,
     try:
         rep = matrices.check_algebra()
         rep.notes.append(dispersion.OPTICAL_FORM_NOTE)
-        _squaring_checks(rep, rng)
-        _determinant_checks(rep, qp)
-        _velocity_checks(rep, qp)
-        _eigen_checks(rep)
-        _amplitude_checks(rep, rng)
-        _catalog_checks(rep, qp)
-        _chain_checks(rep)
-        _evolution_checks(rep, qp)
+        # each section is looked up by its module name at call time, where tracers wrap it
+        for section, *args in ((_squaring_checks, rng), (_determinant_checks, qp),
+                               (_velocity_checks, qp), (_eigen_checks,),
+                               (_amplitude_checks, rng), (_catalog_checks, qp),
+                               (_chain_checks,), (_evolution_checks, qp)):
+            start = time.perf_counter()
+            section(rep, *args)
+            rep.timings[section.__name__] = time.perf_counter() - start
     finally:
         planewaves.set_fault(None)
     return rep

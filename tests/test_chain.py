@@ -359,6 +359,62 @@ def test_stacked_kernel_split_run_equals_unsplit():
     assert np.array_equal(split.x, whole.x) and np.array_equal(split.v, whole.v)
 
 
+def test_kernel_with_two_leading_axes_matches_lone_runs_and_reference():
+    # a (2, 3) grid of rings: each ring keeps its place in the flat buffer's rows
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    states = [_random_state(16, seed=10 + r, t=0.4) for r in range(6)]
+    stack = chain.LatticeState(np.array([s.x for s in states]).reshape(2, 3, 2, 16),
+                               np.array([s.v for s in states]).reshape(2, 3, 2, 16), 0.4)
+    dt, n_steps, every = 0.05, 200, 40
+    with np.errstate(all="raise"):
+        times, samples, out = verify.verlet_steps(stack, dt, n_steps, params,
+                                                  record_every=every)
+        for r, state in enumerate(states):
+            b = np.unravel_index(r, (2, 3))
+            lone_times, lone_samples, lone = verify.verlet_steps(state, dt, n_steps, params,
+                                                                 record_every=every)
+            assert np.array_equal(times, lone_times)
+            assert np.array_equal(samples.x[(slice(None),) + b], lone_samples.x)
+            assert np.array_equal(samples.v[(slice(None),) + b], lone_samples.v)
+            ref = state
+            for _ in range(n_steps):
+                ref = _reference_step(ref, dt, params)
+            for s in (lone, ref):
+                assert out.t == s.t
+                assert np.array_equal(out.x[b], s.x) and np.array_equal(out.v[b], s.v)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_kernel_padding_slots_raise_nothing_near_the_stability_bound(n_sites):
+    # the ghost and mirror slots are computed on but never read; at dt omega_max
+    # = 1.99 they must stay finite, and the ring must still equal the reference
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    state = _random_state(n_sites, seed=20 + n_sites)
+    dt, n_steps = 1.99 / chain.max_frequency(params), 3000
+    with np.errstate(all="raise"):
+        _, samples, final = verify.verlet_steps(state, dt, n_steps, params,
+                                                record_every=100)
+        ref = state
+        for _ in range(n_steps):
+            ref = _reference_step(ref, dt, params)
+    assert np.isfinite(samples.x).all() and np.isfinite(samples.v).all()
+    assert np.array_equal(final.x, ref.x) and np.array_equal(final.v, ref.v)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (2, 2, 5), (2, 3, 2, 5)])
+def test_kernel_results_own_their_memory(shape):
+    rng = np.random.default_rng(31)
+    start = chain.LatticeState(1e-3 * rng.standard_normal(shape),
+                               1e-3 * rng.standard_normal(shape))
+    with np.errstate(all="raise"):
+        _, samples, final = verify.verlet_steps(start, 0.05, 30, PARAMS, record_every=10)
+    arrays = (samples.x, samples.v, final.x, final.v)
+    assert all(arr.flags.owndata for arr in arrays)
+    for i, arr in enumerate(arrays):
+        for other in arrays[i + 1:] + (start.x, start.v):
+            assert not np.shares_memory(arr, other)
+
+
 @pytest.mark.parametrize("states, every", [
     ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 7),
     ([_random_state(24, seed=1, t=0.3), _random_state(24, seed=2, t=0.3)], 300),

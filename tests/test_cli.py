@@ -91,6 +91,24 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert set(rep["versions"]) == {"python", "numpy", "platform"}
 
 
+def test_verify_times_each_section_in_the_json_only(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(["verify", "-o", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    printed = capsys.readouterr().out
+    rep = json.loads(out.read_text())
+    assert list(rep) == ["epsilon", "seed", "versions", "passed", "notes", "checks", "timings"]
+    timings = rep["timings"]
+    assert list(timings) == ["_squaring_checks", "_determinant_checks", "_velocity_checks",
+                             "_eigen_checks", "_amplitude_checks", "_catalog_checks",
+                             "_chain_checks", "_evolution_checks"]
+    assert all(isinstance(s, float) and s >= 0 for s in timings.values())
+    assert sum(timings.values()) <= elapsed
+    assert "timing" not in printed and "_checks" not in printed
+    assert not any(repr(s) in printed for s in timings.values())
+
+
 def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
     # the CLI has no fault flag; switch the library's fault hook on under it
     full_report = verify.full_report
@@ -135,7 +153,8 @@ def test_chain_summary_reports_the_run(tmp_path):
     s = json.loads(summ.read_text())
     assert list(s) == ["mode_index", "branch", "wavenumber", "omega_dispersion",
                        "omega_measured", "relative_error", "continuum_convergence_exponent",
-                       "epsilon", "dt", "n_steps", "stability_margin", "relative_energy_drift",
+                       "epsilon", "dt", "n_steps", "n_samples", "stability_margin",
+                       "relative_energy_drift",
                        "omega_verlet", "relative_modified_energy_drift"]
     omega_max = chain.max_frequency(ChainParams(m=1, M=4, K=1, I=1, J=1, a=1))
     assert s["dt"] == 0.01 / omega_max
@@ -145,6 +164,18 @@ def test_chain_summary_reports_the_run(tmp_path):
     assert s["omega_verlet"] > s["omega_dispersion"]
     assert s["relative_modified_energy_drift"] < 1e-12
     assert s["n_steps"] == int(8 * 2 * math.pi / s["omega_dispersion"] / s["dt"])
+
+
+@pytest.mark.parametrize("argv, n_sites", [([], 128),
+                                           (["--n", "128", "--mode", "1", "--branch",
+                                             "acoustic"], 128)])
+def test_chain_summary_counts_the_recorded_frames(tmp_path, argv, n_sites):
+    csv, summ = tmp_path / "t.csv", tmp_path / "s.json"
+    assert main(["chain", *argv, "-o", str(csv), "--summary", str(summ)]) == 0
+    s = json.loads(summ.read_text())
+    lines = csv.read_text().splitlines()
+    assert len(lines) - lines.index("t,site,u,U,du_dt,dU_dt") - 1 == s["n_samples"] * n_sites
+    assert s["n_samples"] == s["n_steps"] // max(s["n_steps"] // 400, 1) + 1
 
 
 @pytest.mark.parametrize("argv", [["--periods", "12.25"], ["--n", "512", "--mode", "6"],
