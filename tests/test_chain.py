@@ -319,7 +319,7 @@ def test_simulate_matches_reference_steps():
 @pytest.mark.parametrize("params, n_sites, t0", [
     (ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1), 24, 0.0),  # I != J: rows not swapped
     (ChainParams(m=1, M=4, K=1, I=0, J=0, a=1), 24, 2.5),        # no neighbour springs
-    # 1 to 3 sites: the ghost columns are copies of the ring's own sites
+    # 1 to 3 sites: a site's np.roll neighbours are sites of its own small ring
     (PARAMS, 1, 0.0),
     (PARAMS, 2, 0.7),
     (ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1), 3, -1.25),
@@ -360,7 +360,7 @@ def test_stacked_kernel_split_run_equals_unsplit():
 
 
 def test_kernel_with_two_leading_axes_matches_lone_runs_and_reference():
-    # a (2, 3) grid of rings: each ring keeps its place in the flat buffer's rows
+    # a (2, 3) grid of rings: each ring keeps its place in the stack
     params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
     states = [_random_state(16, seed=10 + r, t=0.4) for r in range(6)]
     stack = chain.LatticeState(np.array([s.x for s in states]).reshape(2, 3, 2, 16),
@@ -386,8 +386,8 @@ def test_kernel_with_two_leading_axes_matches_lone_runs_and_reference():
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_kernel_padding_slots_raise_nothing_near_the_stability_bound(n_sites):
-    # the ghost and mirror slots are computed on but never read; at dt omega_max
-    # = 1.99 they must stay finite, and the ring must still equal the reference
+    # at dt omega_max = 1.99 the loop must stay finite and raise nothing, and
+    # the ring must still equal the reference
     params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
     state = _random_state(n_sites, seed=20 + n_sites)
     dt, n_steps = 1.99 / chain.max_frequency(params), 3000
@@ -460,6 +460,22 @@ def test_simulate_translates_the_uniform_mode():
         assert np.abs(got + 1.7e-3).max() <= 1e-16
 
 
+def _assert_within_amplitude(pairs, rel=1e-12):
+    """Each (got, want) pair agrees within rel of the largest entry of want."""
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def test_verlet_frames_match_the_loop():
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    stack = _stack(_random_state(24, seed=41), _random_state(24, seed=42))
+    dt, n_steps, every = 0.05, 2000, 8  # 250 intervals: seven whole blocks and a part
+    times, samples, end = verify.verlet_steps(stack, dt, n_steps, params, record_every=every)
+    trace, final = verify._verlet_frames(stack, dt, params, every, len(times))
+    _assert_within_amplitude(((trace, samples.u[:, 0, 0]), (final.x, end.x), (final.v, end.v)))
+
+
 def test_chain_checks_equal_two_lone_runs():
     rep = VerificationReport()
     verify._chain_checks(rep)
@@ -473,25 +489,33 @@ def test_chain_checks_equal_two_lone_runs():
     optical = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
     times, samples, optical_end = verify.verlet_steps(optical, dt, n_steps, PARAMS,
                                                       record_every=8)
-    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
     acoustic = chain.init_mode(n_sites, mode, 1e-3, "acoustic", PARAMS)
-    e0 = chain.total_energy(acoustic, PARAMS)
-    *_, final = verify.verlet_steps(acoustic, dt, n_steps, PARAMS, record_every=n_steps)
-    # and the closed-form map of each, compared with the loop's final state
-    deviation = 0.0
-    for state, end in ((optical, optical_end), (acoustic, final)):
-        *_, exact = chain.simulate(state, dt, n_steps, PARAMS, record_every=n_steps)
-        deviation = max(deviation, np.abs(exact.x - end.x).max(),
-                        np.abs(exact.v - end.v).max() / omega_max)
+    *_, acoustic_end = verify.verlet_steps(acoustic, dt, n_steps, PARAMS,
+                                           record_every=n_steps)
+    # the checks read the stacked run's frames and final states, from matrix powers
+    trace, final = verify._verlet_frames(_stack(optical, acoustic), dt, PARAMS, 8, len(times))
+    _assert_within_amplitude(((trace, samples.u[:, 0]),
+                              (final.x[0], optical_end.x), (final.v[0], optical_end.v),
+                              (final.x[1], acoustic_end.x), (final.v[1], acoustic_end.v)))
 
-    assert (len(times), len(rep.checks)) == (1251, 6)
+    # each check's measured value, recomputed from them
+    measured = chain.measure_mode_frequency(8 * dt * np.arange(len(trace)), trace)
+    end = chain.LatticeState(final.x[1], final.v[1])
+    e0 = chain.total_energy(acoustic, PARAMS)
+    deviation = 0.0
+    for b, state in enumerate((optical, acoustic)):
+        *_, exact = chain.simulate(state, dt, n_steps, PARAMS, record_every=n_steps)
+        deviation = max(deviation, np.abs(exact.x - final.x[b]).max(),
+                        np.abs(exact.v - final.v[b]).max() / omega_max)
+
+    assert (len(trace), len(rep.checks)) == (1251, 6)
     assert freq_check.measured == abs(measured - omega) / omega and freq_check.passed
     omega_verlet = chain.verlet_frequency(omega, dt)
     assert verlet_check.name == "measured frequency equals verlet_frequency"
     assert verlet_check.measured == abs(measured - omega_verlet) / omega_verlet
     assert verlet_check.passed
-    assert drift_check.measured == abs(chain.total_energy(final, PARAMS) - e0) / e0
-    h0, h1 = (chain.modified_energy(s, dt, PARAMS) for s in (acoustic, final))
+    assert drift_check.measured == abs(chain.total_energy(end, PARAMS) - e0) / e0
+    h0, h1 = (chain.modified_energy(s, dt, PARAMS) for s in (acoustic, end))
     assert modified_check.measured == abs(h1 - h0) / h0 and modified_check.passed
     assert map_check.name == "loop equals the exact Verlet map"
     assert map_check.measured == deviation / 1e-3 and map_check.passed

@@ -109,6 +109,19 @@ def test_verify_times_each_section_in_the_json_only(tmp_path, capsys):
     assert not any(repr(s) in printed for s in timings.values())
 
 
+def test_verify_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the chain checks come from BLAS matrix products; their bits must not
+    # depend on how many threads the products are split over
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        proc = _python("-m", "dirac8.cli", "verify", "-o", str(out),
+                       OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, json.loads(out.read_text())["checks"]))
+    assert runs[0] == runs[1]
+
+
 def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
     # the CLI has no fault flag; switch the library's fault hook on under it
     full_report = verify.full_report
@@ -316,11 +329,11 @@ def test_evolve_group_velocity_at_zero_wavenumber(branch, speed, tmp_path):
         assert s["relative_error"] is None
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports this checkout's dirac8."""
+def _python(*args, **env_vars):
+    """Run a fresh interpreter that imports this checkout's dirac8, with env_vars set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env_vars)
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
