@@ -114,20 +114,21 @@ def spin_sector_hamiltonian(p_z: float, params: QuantumParams) -> np.ndarray:
     return hamiltonian_d8((0.0, 0.0, p_z), params)[np.ix_(up, up)]
 
 
-def null_space(M: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space of a square matrix.
+def null_space(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal bases of the numerical null spaces of a stack M (..., n, n), one SVD.
 
-    Singular values below tol * ||M||_2 count as zero; an empty list means
-    the null space is trivial.
+    Per matrix, singular values below tol * ||M||_2 count as zero.  Returns
+    (..., n, n): the row of each zero singular value is a basis vector and
+    every other row is zero, so a trivial null space reads all zeros.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("null_space expects a square matrix")
-    _, s, vh = np.linalg.svd(M)
-    norm = s[0] if s.size and s[0] > 0 else 1.0
-    return [vh[i].conj() for i in range(len(s)) if s[i] < tol * norm]
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("null_space expects square matrices")
+    s, vh = np.linalg.svd(M)[1:]
+    vh[~(s < tol * np.where(s[..., :1] > 0, s[..., :1], 1.0))] = 0  # keep the null rows
+    return np.conjugate(vh, out=vh)
 
 
 def _exact(report: VerificationReport, name: str, reference: str,

@@ -27,21 +27,23 @@ def _add(rep, name, reference, measured, tolerance, notes=""):
 
 def _squaring_checks(rep: VerificationReport, rng: np.random.Generator) -> None:
     n_draws = 100
-    worst4 = worst8 = 0.0
+    H4, H8, terms = [], [], []
     for _ in range(n_draws):
         p = rng.uniform(-5, 5, size=3)
-        eps = rng.uniform(0.0, 2.0)
-        qp = QuantumParams(epsilon=eps)
-        scale4 = qp.rest_energy**2 + qp.c**2 * np.dot(p, p)
-        H4 = matrices.hamiltonian_d4(p, qp)
-        worst4 = max(worst4, float(np.max(np.abs(H4 @ H4 - scale4 * matrices.I4)) / scale4))
-        H8 = matrices.hamiltonian_d8(p, qp)
-        a0m, a0p = matrices.a_matrix("0-"), matrices.a_matrix("0+")
-        expected = (qp.m_f**2 * qp.c**4 * (a0m @ a0m)
-                    + qp.m_e**2 * qp.c**4 * (a0p @ a0p)
-                    + qp.c**2 * np.dot(p, p) * matrices.I8)
-        scale8 = qp.gap_energy**2 + qp.c**2 * np.dot(p, p)
-        worst8 = max(worst8, float(np.max(np.abs(H8 @ H8 - expected)) / scale8))
+        qp = QuantumParams(epsilon=rng.uniform(0.0, 2.0))
+        pp = np.dot(p, p)
+        H4.append(matrices.hamiltonian_d4(p, qp))
+        H8.append(matrices.hamiltonian_d8(p, qp))
+        # the two scales, then the coefficients of A0-^2, A0+^2 and I8 in H8^2
+        terms.append((qp.rest_energy**2 + qp.c**2 * pp, qp.gap_energy**2 + qp.c**2 * pp,
+                      qp.m_f**2 * qp.c**4, qp.m_e**2 * qp.c**4, qp.c**2 * pp))
+    scale4, scale8, f, e, k = np.array(terms).T[..., None, None]
+    H4, H8 = np.array(H4), np.array(H8)
+    a0m, a0p = matrices.a_matrix("0-"), matrices.a_matrix("0+")
+    expected = f * (a0m @ a0m) + e * (a0p @ a0p) + k * matrices.I8
+    worst4, worst8 = (float(np.max(np.abs(D).max(axis=(1, 2), keepdims=True) / scale))
+                      for D, scale in ((H4 @ H4 - scale4 * matrices.I4, scale4),
+                                       (H8 @ H8 - expected, scale8)))
     _add(rep, "H_D4 squaring identity", "4x4 Hamiltonian square", worst4, 1e-12,
          f"{n_draws} random momentum draws")
     _add(rep, "H_D8 squaring identity", "8x8 Hamiltonian square", worst8, 1e-12,
@@ -49,11 +51,9 @@ def _squaring_checks(rep: VerificationReport, rng: np.random.Generator) -> None:
 
 
 def _determinant_checks(rep: VerificationReport, qp: QuantumParams) -> None:
-    worst = 0.0
-    for p in np.linspace(-10, 10, 41):
-        for b in dispersion.BRANCHES:
-            E = dispersion.branch_energy(b, p, qp)
-            worst = max(worst, abs(dispersion.dirac_determinant(E, p, qp)))
+    p = np.linspace(-10, 10, 41)
+    worst = max(float(np.abs(dispersion.dirac_determinant(
+        dispersion.branch_energy(b, p, qp), p, qp)).max()) for b in dispersion.BRANCHES)
     _add(rep, "branch energies are determinant roots", "characteristic determinant",
          worst, 1e-10 * qp.rest_energy**4)
 
@@ -75,18 +75,14 @@ def _velocity_checks(rep: VerificationReport, qp: QuantumParams) -> None:
 
 
 def _eigen_checks(rep: VerificationReport) -> None:
-    worst_imag = worst_match = 0.0
-    for eps in (0.25, 0.5, 2.0):
-        qp = QuantumParams(epsilon=eps)
-        for p in (0.0, 0.5, 1.0, 3.0):
-            H = matrices.hamiltonian_d8((0.0, 0.0, p), qp)
-            ev = np.linalg.eigvals(H)
-            worst_imag = max(worst_imag, float(np.abs(ev.imag).max()) / qp.rest_energy)
-            expected = np.sort(np.repeat(
-                [dispersion.branch_energy(b, p, qp) for b in dispersion.BRANCHES], 2))
-            got = np.sort(ev.real)
-            worst_match = max(worst_match, float(
-                np.max(np.abs(got - expected)) / qp.gap_energy))
+    p, qps = np.array([0.0, 0.5, 1.0, 3.0]), [QuantumParams(epsilon=e) for e in (0.25, 0.5, 2.0)]
+    ev = np.linalg.eigvals([[matrices.hamiltonian_d8((0.0, 0.0, pz), qp) for pz in p]
+                            for qp in qps])  # (eps, p, 8) in one call
+    E = np.array([[dispersion.branch_energy(b, p, qp) for b in dispersion.BRANCHES] for qp in qps])
+    expected = np.sort(np.repeat(E.swapaxes(1, 2), 2, axis=-1))  # each branch energy twice
+    rest, gap = np.array([[qp.rest_energy, qp.gap_energy] for qp in qps]).T[..., None]
+    worst_imag = float(np.max(np.abs(ev.imag).max(axis=-1) / rest))
+    worst_match = float(np.max(np.abs(np.sort(ev.real) - expected).max(axis=-1) / gap))
     _add(rep, "real spectrum of non-Hermitian H_D8", "spectrum reality", worst_imag, 1e-10)
     _add(rep, "H_D8 eigenvalues = branch energies (x2)", "spectrum consistency",
          worst_match, 1e-10)
@@ -96,28 +92,31 @@ def _eigen_checks(rep: VerificationReport) -> None:
     _add(rep, "H_D8 Hermitian at eps = 1", "equal-coupling Hermiticity", herm, 1e-14)
 
 
-def nullspace_deviation(branch, p_z: float, qp: QuantumParams) -> float:
-    """Distance of the closed-form amplitude vector from the numerical null space."""
-    E = dispersion.branch_energy(branch, p_z, qp)
-    sol = planewaves.build_solution(branch, "up", p_z, qp)
-    H = matrices.hamiltonian_d8((0.0, 0.0, p_z), qp)
-    basis = matrices.null_space(H - E * np.eye(8), tol=1e-8)
-    if not basis:
-        return math.inf
-    v = sol.amplitudes / np.linalg.norm(sol.amplitudes)
-    proj = sum(np.vdot(w, v) * w for w in basis)
-    return float(np.linalg.norm(v - proj))
+def nullspace_deviation(vectors: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """|v - sum_w <w, v> w| per unit-scaled vector v, over its operator's null rows w.
+
+    vectors (..., n) and operators (..., n, n) share their leading axes, and one
+    ``matrices.null_space`` call (tol 1e-8) serves them all; a trivial null space reads inf.
+    """
+    def norm(x):  # np.linalg.norm's sums for one vector; with axis= it adds in another order
+        return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))[..., None]
+    basis = matrices.null_space(operators, tol=1e-8)
+    v = vectors / norm(vectors)
+    proj = (np.vecdot(basis, v[..., None, :])[..., None] * basis).sum(axis=-2)
+    return np.where(basis.any(axis=(-2, -1)), norm(v - proj)[..., 0], math.inf)
 
 
 def _amplitude_checks(rep: VerificationReport, rng: np.random.Generator) -> None:
     n_draws = 50
-    worst = 0.0
+    H, sols = [], []  # one matrix a draw, one solution a draw and branch
     for _ in range(n_draws):
         p = rng.uniform(-5, 5)
-        eps = rng.uniform(0.05, 2.0)
-        qp = QuantumParams(epsilon=eps)
-        for b in dispersion.BRANCHES:
-            worst = max(worst, nullspace_deviation(b, p, qp))
+        qp = QuantumParams(epsilon=rng.uniform(0.05, 2.0))
+        H.append(matrices.hamiltonian_d8((0.0, 0.0, p), qp))
+        sols += [planewaves.build_solution(b, "up", p, qp) for b in dispersion.BRANCHES]
+    E = np.array([s.E for s in sols])[:, None, None]
+    operators = np.repeat(H, len(dispersion.BRANCHES), axis=0) - E * np.eye(8)
+    worst = float(nullspace_deviation(np.array([s.amplitudes for s in sols]), operators).max())
     _add(rep, "closed-form amplitudes match null space", "amplitude cross-check",
          worst, 1e-10, f"{n_draws} random (p_z, eps) draws, all branches")
 

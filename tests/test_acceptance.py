@@ -82,12 +82,16 @@ def test_criterion_04_velocity_product():
 
 def test_criterion_05_amplitudes_vs_null_space():
     rng = np.random.default_rng(5)
-    worst = 0.0
+    vectors, operators = [], []
     for _ in range(50):
         p = rng.uniform(-5, 5)
         qp = QuantumParams(epsilon=rng.uniform(0.05, 2.0))
+        H = matrices.hamiltonian_d8((0, 0, p), qp)
         for b in BRANCHES:
-            worst = max(worst, verify.nullspace_deviation(b, p, qp))
+            sol = pw.build_solution(b, "up", p, qp)
+            vectors.append(sol.amplitudes)
+            operators.append(H - sol.E * np.eye(8))
+    worst = verify.nullspace_deviation(np.array(vectors), np.array(operators)).max()
     _report(5, "closed-form amplitudes vs null space", worst < 1e-10,
             f"max deviation {worst:.2e} over 50 draws")
 

@@ -195,17 +195,18 @@ def test_spin_sector_hamiltonian_is_the_d8_block_bit_for_bit():
 
 
 def test_null_space_trivial_and_full():
-    assert matrices.null_space(matrices.I4) == []
-    basis = matrices.null_space(matrices.Z4)
-    assert len(basis) == 4
+    assert not matrices.null_space(matrices.I4).any()
+    assert np.array_equal(matrices.null_space(matrices.Z4), matrices.I4)
 
 
 def test_null_space_orthonormal():
     M = np.diag([1.0, 0.0, 0.0, 2.0]).astype(complex)
     basis = matrices.null_space(M)
-    assert len(basis) == 2
-    G = np.array([[np.vdot(a, b) for b in basis] for a in basis])
+    assert basis.shape == (4, 4)
+    assert not basis[:2].any()  # the rows of the nonzero singular values, 2 and 1
+    G = basis[2:].conj() @ basis[2:].T
     assert np.allclose(G, np.eye(2))
+    assert np.allclose(M @ basis[2:].T, 0)
 
 
 def test_null_space_acoustic_eigenvector():
@@ -214,8 +215,21 @@ def test_null_space_acoustic_eigenvector():
     E = qp.c * p
     H = matrices.hamiltonian_d8((0, 0, p), qp)
     basis = matrices.null_space(H - E * np.eye(8))
-    assert len(basis) == 2  # spin degeneracy
+    assert np.count_nonzero(basis.any(axis=1)) == 2  # spin degeneracy
     v = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=complex)
     v /= np.linalg.norm(v)
-    proj = sum(np.vdot(w, v) * w for w in basis)
+    proj = (basis.conj() @ v) @ basis
     assert np.linalg.norm(v - proj) < 1e-12
+
+
+def test_null_space_of_a_stack_equals_lone_calls():
+    qp = QuantumParams(epsilon=0.5)
+    H = matrices.hamiltonian_d8((0, 0, 0.8), qp)
+    stack = np.array([[H - 0.8 * np.eye(8), np.eye(8)], [np.zeros((8, 8)), H]])
+    got = matrices.null_space(stack)
+    assert got.shape == (2, 2, 8, 8)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(got[i, j], matrices.null_space(stack[i, j]))
+    with pytest.raises(ValueError):
+        matrices.null_space(np.ones((2, 3)))

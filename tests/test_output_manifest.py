@@ -28,6 +28,8 @@ RUNS = (
     ["evolve"],
     ["dispersion"],
     ["solutions"],
+    ["dispersion", "--epsilon", "0.5", "--epsilon", "2"],
+    ["solutions", "--pz", "0", "--epsilon", "2"],
     ["chain", "--n", "16", "--mode", "3", "--branch", "acoustic",
      "-o", "{out}/trajectory.csv", "--summary", "{out}/summary.json"],
     ["evolve", "--branch", "acoustic-", "--k0", "0",
