@@ -291,14 +291,16 @@ def cmd_evolve(args) -> int:
         raise _UsageError(f"a packet can travel c * t_total / samples = {qp.c * dt!r}, "
                           "at least L/2, between samples; raise --samples")
     snapshots = [state0]
-    times = [0.0]
-    positions = [evolution.packet_centroid(state0)]
-    samples = evolution.evolve_samples(state0, dt, args.samples, qp)
-    for i, state in enumerate(samples, start=1):
-        times.append(state.t)
-        positions.append(evolution.packet_centroid(state))
-        if i in (args.samples // 2, args.samples):
-            snapshots.append(state)
+
+    def track():  # every sample, keeping the snapshots at samples // 2 and samples
+        yield state0
+        samples = evolution.evolve_samples(state0, dt, args.samples, qp)
+        for i, state in enumerate(samples, start=1):
+            if i in (args.samples // 2, args.samples):
+                snapshots.append(state)
+            yield state
+
+    times, positions = evolution.centroid_track(track())
 
     intensities = np.array([np.abs(s.fields) ** 2 for s in snapshots]).transpose(1, 0, 2)
     head = _header(units, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]

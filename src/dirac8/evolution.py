@@ -8,11 +8,15 @@ unit right eigenvectors R and the dual left rows Lt with Lt R = I.  H is
 pseudo-Hermitian, eta H = H^T eta with eta = diag(eps^2, eps^2, 1, 1), so each
 left row is eta times its right vector up to scale.  The first-order system
 has one propagator: it projects the Fourier coefficients with Lt, advances
-each branch by its phase exp(-i E t / hbar) and reconstructs with R.  No
-numerical eigen-solve is involved, and at k = 0, where the acoustic energies
-coincide, the two acoustic vectors stay independent by construction.  The
-tests cross-check it with an RK4 method-of-lines stepper on the assembled
-sector matrices.  The second-order system x'' = -D x
+each branch by its phase exp(-i E t / hbar) and reconstructs with R.  The
+branches come in pairs of opposite energy, so each minus branch's phase is
+the conjugate of its plus branch's, and only half the exponentials are taken.
+No numerical eigen-solve is involved, and at k = 0, where the acoustic
+energies coincide, the two acoustic vectors stay independent by construction.
+The tests cross-check it with an RK4 method-of-lines stepper on the assembled
+sector matrices.  A packet's position is its intensity-weighted circular
+mean, for one state (``packet_centroid``) or along a track of them
+(``centroid_track``).  The second-order system x'' = -D x
 evolves per mode by its closed-form propagator in cos and sinc of the roots
 of D.  Both systems have four rows per grid point and share one state type,
 ``FieldState(fields, L, t)``.
@@ -20,6 +24,7 @@ of D.  Both systems have four rows per grid point and share one state type,
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -122,25 +127,57 @@ def evolve_samples(state: FieldState, dt: float, n_samples: int,
     """Yield the states at state.t + i * dt, i = 1 .. n_samples, from one modal projection.
 
     Each sample is then a phase multiply, a reconstruction with R and one
-    inverse FFT.
+    inverse FFT.  The minus branches (columns 1 and 3 of ``BRANCHES``) have
+    exactly the negated energies of the plus branches, so their phases are
+    written as the conjugates of the plus phases, bit for bit what exp
+    gives, signed zeros at k = 0 included.  The multiply is always written
+    coefficients times phase: numpy's complex multiply is not commutative
+    bit for bit, and on a temporary operand of 256 KiB or more numpy would
+    reuse the temporary and swap the order, so the bits would depend on the
+    grid size.
     """
     E, R, Lt = modes(_wavenumbers(state.n_grid, state.L), params)
     x = _project(state, Lt)
+    del Lt
+    R = R.astype(complex)  # cast once here rather than inside every sample's einsum
+    plus = E.T[0::2]  # (2, n): the energies of the plus branches
+    phase = np.empty((4, state.n_grid), dtype=complex)
     for i in range(1, n_samples + 1):
         t = i * dt
-        coeffs = np.einsum("kij,kj->ik", R, x * np.exp((-1j * t / params.hbar) * E))
+        np.exp((-1j * t / params.hbar) * plus, out=phase[0::2])
+        np.conjugate(phase[0::2], out=phase[1::2])
+        coeffs = np.einsum("kij,kj->ik", R, x * phase.T)
         yield FieldState(np.fft.ifft(coeffs, axis=1), state.L, state.t + t)
+
+
+def centroid_track(states) -> tuple[np.ndarray, np.ndarray]:
+    """Times and centroids of states on one grid, as two float arrays.
+
+    A centroid is the intensity-weighted circular mean position over the
+    periodic domain.  The states are read one at a time, so a generator of
+    them is never held whole; exp(i theta) over the grid is formed once, from
+    the first state.
+    """
+    times, positions, circle = [], [], None
+    for state in states:
+        if circle is None:
+            theta = 2 * math.pi * state.z / state.L
+            circle, grid = np.exp(1j * theta), (state.n_grid, state.L)
+        elif (state.n_grid, state.L) != grid:
+            raise ValueError("centroid track states must share one grid")
+        intensity = np.sum(np.abs(state.fields) ** 2, axis=0)
+        total = intensity.sum()
+        if total == 0:
+            raise ValueError("zero field has no centroid")
+        mean = np.sum(intensity * circle) / total
+        times.append(state.t)
+        positions.append(float(np.angle(mean) % (2 * math.pi)) * state.L / (2 * math.pi))
+    return np.array(times), np.array(positions)
 
 
 def packet_centroid(state: FieldState) -> float:
     """Intensity-weighted circular mean position over the periodic domain."""
-    intensity = np.sum(np.abs(state.fields) ** 2, axis=0)
-    total = intensity.sum()
-    if total == 0:
-        raise ValueError("zero field has no centroid")
-    theta = 2 * math.pi * state.z / state.L
-    mean = np.sum(intensity * np.exp(1j * theta)) / total
-    return float(np.angle(mean) % (2 * math.pi)) * state.L / (2 * math.pi)
+    return float(centroid_track([state])[1][0])
 
 
 def centroid_velocity(times, positions, L: float) -> tuple[float, float]:
@@ -180,11 +217,8 @@ def measure_group_velocity(spec: PacketSpec, params: QuantumParams,
     grid spacings (the measurement floor).
     """
     state = init_packet(spec, n_grid, L, params)
-    times = [state.t]
-    positions = [packet_centroid(state)]
-    for s in evolve_samples(state, t_total / n_samples, n_samples, params):
-        times.append(s.t)
-        positions.append(packet_centroid(s))
+    times, positions = centroid_track(itertools.chain(
+        [state], evolve_samples(state, t_total / n_samples, n_samples, params)))
     slope, displacement = centroid_velocity(times, positions, L)
     if displacement > L / 4:
         raise ValueError("packet displacement exceeds L/4; shorten the run")

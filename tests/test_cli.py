@@ -520,6 +520,18 @@ def test_evolve_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("samples, picks", [(1, (1,)), (2, (1, 2)), (3, (1, 3))])
+def test_evolve_snapshots_at_half_and_full_run(samples, picks, tmp_path):
+    # frames at t = 0, at sample samples // 2 (when it is not 0) and at the last sample
+    csv = tmp_path / "s.csv"
+    assert main(["evolve", "--n-grid", "256", "--samples", str(samples),
+                 "-o", str(csv), "--summary", os.devnull]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[3:]]
+    frames = list(dict.fromkeys(row[0] for row in rows))
+    assert frames == [repr(t) for t in [0.0] + [i * (40.0 / samples) for i in picks]]
+    assert len(rows) == 256 * len(frames)
+
+
 @pytest.mark.parametrize("argv", [
     ["dispersion", "--epsilon", "-1"],
     ["dispersion", "--epsilon", "nan"],

@@ -443,3 +443,63 @@ def test_field_state_shape_validation():
     for shape in ((3, 8), (8,), (1, 4, 8)):
         with pytest.raises(ValueError, match="shape"):
             evo.FieldState(np.zeros(shape, dtype=complex), 2.0)
+
+
+def _reference_samples(state, dt, n_samples, params):
+    """The plain sample loop: every exponential taken, real R, coefficients times phase."""
+    E, R, Lt = modes(evo._wavenumbers(state.n_grid, state.L), params)
+    x = evo._project(state, Lt)
+    for i in range(1, n_samples + 1):
+        phase = np.exp((-1j * i * dt / params.hbar) * E)
+        yield np.fft.ifft(np.einsum("kij,kj->ik", R, np.multiply(x, phase)), axis=1)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# 4096 and 8192 put the phase array past the 256 KiB at which numpy reuses
+# temporaries, where an unordered product would swap its operands
+@pytest.mark.parametrize("n_grid", (256, 2048, 4096, 8192))
+def test_evolve_samples_match_the_plain_loop_bit_for_bit(n_grid):
+    for eps, hbar in ((0.0, 1.0), (0.5, 0.7), (2.0, 1.0)):
+        qp = QuantumParams(epsilon=eps, hbar=hbar)
+        for branch in BRANCHES:
+            for k0 in (0.0, 1.3):
+                spec = evo.PacketSpec(k0=k0, sigma=5.0, branch=branch, center=120.0)
+                state = evo.init_packet(spec, n_grid, 200.0, qp)
+                got = [s.fields for s in evo.evolve_samples(state, 2.0, 2, qp)]
+                want = list(_reference_samples(state, 2.0, 2, qp))
+                assert all(map(_same_bits, got, want)), (eps, hbar, branch.label, k0)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_modes_energies_are_exact_negation_pairs(eps):
+    # the minus branches' phases are conjugates of the plus branches' only
+    # because their energies are the exact negations
+    for hbar in (1.0, 0.7):
+        E, _, _ = modes(_modes_grid(), QuantumParams(epsilon=eps, hbar=hbar))
+        assert _same_bits(E[:, 1], -E[:, 0]) and _same_bits(E[:, 3], -E[:, 2])
+        assert _same_bits(np.exp(-1j * E[:, 1::2]), np.conjugate(np.exp(-1j * E[:, 0::2])))
+
+
+def test_centroid_track_matches_the_one_state_formula():
+    spec = evo.PacketSpec(k0=1.0, sigma=5.0, branch=OPTICAL_MINUS, center=150.0)
+    state = evo.init_packet(spec, 512, 200.0, QP)
+    states = [state, *evo.evolve_samples(state, 4.0, 5, QP)]
+    times, positions = evo.centroid_track(iter(states))
+    assert list(times) == [s.t for s in states]
+    for s, pos in zip(states, positions):
+        intensity = np.sum(np.abs(s.fields) ** 2, axis=0)
+        mean = np.sum(intensity * np.exp(1j * (2 * math.pi * s.z / s.L))) / intensity.sum()
+        assert pos == float(np.angle(mean) % (2 * math.pi)) * s.L / (2 * math.pi)
+        assert pos == evo.packet_centroid(s)
+
+
+def test_centroid_track_needs_one_grid():
+    a = evo.FieldState(np.ones((4, 8), dtype=complex), 1.0)
+    with pytest.raises(ValueError, match="one grid"):
+        evo.centroid_track([a, evo.FieldState(np.ones((4, 16), dtype=complex), 1.0)])
+    with pytest.raises(ValueError, match="one grid"):
+        evo.centroid_track([a, evo.FieldState(np.ones((4, 8), dtype=complex), 2.0)])

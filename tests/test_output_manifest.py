@@ -36,6 +36,9 @@ RUNS = (
      "-o", "{out}/snapshots.csv", "--summary", "{out}/summary.json"],
     ["chain", "--dt", "10.0"],              # exit 1: past the stability bound
     ["chain", "--n", "16", "--mode", "500"],  # exit 2: no such mode
+    # past 4096 points, where an unordered complex product would depend on numpy's temporaries
+    ["evolve", "--n-grid", "8192", "--branch", "optical-", "--k0", "1.3", "--center", "120",
+     "-o", "{out}/snapshots.csv", "--summary", "{out}/summary.json"],
 )
 
 
