@@ -10,8 +10,8 @@ or of a stack of rings as (..., 2, n) arrays; ``simulate`` returns its
 samples as one such stack, with time leading.  The ring is linear and
 periodic, so ``simulate`` steps neither kind: it evaluates the n-step Verlet
 map of each Fourier mode at the recorded steps, at a cost set by the number
-of samples (plus the clock, summed step by step).  The step-by-step loop is
-``verify.verlet_steps``, the independent check of that map."""
+of samples alone.  The step-by-step loop is ``verify.verlet_steps``, the
+independent check of that map."""
 
 from __future__ import annotations
 
@@ -126,27 +126,7 @@ def modified_energy(state: LatticeState, dt: float, params: ChainParams) -> floa
     return total_energy(state, params) - dt**2 / 8 * float(np.sum(force**2 / mass))
 
 
-_CHUNK = 16          # samples evaluated at once: bounds the closed form's scratch memory
-_CLOCK_BLOCK = 4096  # steps whose clock ticks ``_clock`` sums at once
-
-
-def _clock(t: float, dt: float, n_steps: int, record_every: int):
-    """The recorded times and the end time, summed one step at a time as t = t + dt.
-
-    ``np.add.accumulate`` adds in order, so every time equals the running sum
-    bit for bit.  It runs over blocks of steps, carrying the sum from block to
-    block, so memory stays O(samples) however many steps the run takes.
-    """
-    times = np.empty(n_steps // record_every + 1)
-    times[0] = t
-    block = np.full(_CLOCK_BLOCK + 1, float(dt))
-    for start in range(0, n_steps, _CLOCK_BLOCK):
-        block[0] = t
-        run = np.add.accumulate(block[:min(_CLOCK_BLOCK, n_steps - start) + 1])
-        j = np.arange(start // record_every + 1, (start + len(run) - 1) // record_every + 1)
-        times[j] = run[j * record_every - start]  # run[i]: the time after start + i steps
-        t = run[-1]
-    return times, float(t)
+_CHUNK = 16  # samples evaluated at once: bounds the closed form's scratch memory
 
 
 def _verlet_power(theta, dt: float, steps):
@@ -192,11 +172,11 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
     x_n = cos(n theta) x_0 + dt S_n v_0 and
     v_n = cos(n theta) v_0 - (sin(n theta) sin(theta) / dt) x_0 per mode
     (``_verlet_power``), the eigenvectors and an ``irfft`` back, ``_CHUNK``
-    samples at a time.  The cost follows the samples, apart from ``_clock``,
-    which sums the times step by step at a few ns a step; the states agree
-    with stepping (``verify.verlet_steps``) to rounding error, and the times
-    bit for bit.  Past the stability bound the map grows, as the stepped
-    iterates do.
+    samples at a time, so the cost follows the samples and not the steps.
+    Step n is at time state.t + n dt.  The states agree with stepping
+    (``verify.verlet_steps``) to rounding error; its clock, summed one dt at
+    a time, drifts from n dt by rounding.  Past the stability bound the map
+    grows, as the stepped iterates do.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -224,15 +204,15 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
         return [np.fft.irfft((vec * y[..., None, :, :]).sum(axis=-2), n)
                 for y in (c * q + s * p, c * p - r * q)]
 
-    times, t = _clock(state.t, dt, n_steps, record_every)
-    xs, vs = np.empty((2, len(times)) + state.x.shape)
+    steps = record_every * np.arange(n_steps // record_every + 1)
+    xs, vs = np.empty((2, len(steps)) + state.x.shape)
     xs[0], vs[0] = state.x, state.v
     q, p = modal(state.x), modal(state.v)
-    for j in range(1, len(times), _CHUNK):
-        k = min(j + _CHUNK, len(times))
-        xs[j:k], vs[j:k] = advance(q, p, record_every * np.arange(j, k))
+    for j in range(1, len(steps), _CHUNK):
+        xs[j:j + _CHUNK], vs[j:j + _CHUNK] = advance(q, p, steps[j:j + _CHUNK])
     x, v = (y[0] for y in advance(q, p, [n_steps]))
-    return times, LatticeState(xs, vs), LatticeState(x, v, t)
+    return (state.t + dt * steps, LatticeState(xs, vs),
+            LatticeState(x, v, state.t + dt * n_steps))
 
 
 def _spectral_peak(times: np.ndarray, signal: np.ndarray) -> float:

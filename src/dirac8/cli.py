@@ -212,7 +212,9 @@ def cmd_chain(args) -> int:
     k = 2 * math.pi * args.mode / (args.n * params.a)
     omega = chain_mod.discrete_dispersion(k, params)[0][dispersion.KINDS.index(args.branch)]
     sim_time = args.periods * 2 * math.pi / omega if omega > 0 else 100 * dt
-    if sim_time + dt == sim_time:  # the run would never end; this also bounds sim_time / dt
+    # a step that does not advance the clock never ends the run; this also keeps
+    # n_steps = sim_time / dt below 2^54, where step n is at time n * dt
+    if sim_time + dt == sim_time:
         raise _UsageError(f"a step of {float(dt)!r} does not advance the clock at "
                           f"{float(sim_time)!r}; raise --dt or lower --periods")
     n_steps = max(int(sim_time / dt), 1)
@@ -220,9 +222,7 @@ def cmd_chain(args) -> int:
     times, samples, final = chain_mod.simulate(state, dt, n_steps, params,
                                                record_every=record_every)
     try:  # the uniform translation mode (omega = 0) does not oscillate
-        # at the exact spacing of the recorded steps, not the summed clock of the t column
-        measured = chain_mod.measure_mode_frequency(
-            record_every * dt * np.arange(len(times)), samples.u[:, 0]) if omega > 0 else 0.0
+        measured = chain_mod.measure_mode_frequency(times, samples.u[:, 0]) if omega > 0 else 0.0
     except ValueError as exc:  # e.g. an amplitude so small that the displacements underflow
         raise _RunError(str(exc)) from None
 
@@ -396,7 +396,9 @@ def main(argv=None) -> int:
         if unknown:
             raise _UsageError("unrecognized arguments: " + " ".join(unknown))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a stdout that cannot take the output fails here, not at exit
+        return code
     except (_UsageError, ParameterError) as exc:  # bad flags, or no usable parameter set
         message, code = exc, 2
     except FloatingPointError as exc:  # an input whose arithmetic leaves the float range
@@ -406,6 +408,13 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout; keep the exit-time flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # an output that cannot be written
+        where = f": {exc.filename!r}" if exc.filename else ""
+        message, code = f"cannot write output: {exc.strerror or exc}{where}", 1
+        try:
+            sys.stdout.flush()  # what the run printed before the failure
+        except OSError:  # stdout is the output that failed; keep the exit-time flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     prog = f"dirac8 {args.command}" if args.command else "dirac8"
     print(f"{prog}: error: {message}", file=sys.stderr)
     return code

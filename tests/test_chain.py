@@ -269,16 +269,21 @@ def test_energy_drift_symplectic():
     assert abs(chain.total_energy(s, PARAMS) - e0) / e0 < 1e-6
 
 
-def _assert_close_to_loop(start, got, want, rel=1e-12):
+def _assert_close_to_loop(start, dt, n_steps, every, got, want, rel=1e-12):
     """simulate's (times, samples, final) against the loop's, for the same run from start.
 
-    The times are the loop's bit for bit; every cell of each row (u, U,
-    du_dt, dU_dt) of the samples, and of the final x and v, is within rel of
-    the largest entry of the loop's array (its amplitude).
+    Step n is at start.t + dt n, bit for bit, and the loop's clock, summed
+    one dt at a time, is within n_steps rounding errors of it.  Every cell of
+    each row (u, U, du_dt, dU_dt) of the samples, and of the final x and v,
+    is within rel of the largest entry of the loop's array (its amplitude).
     """
     (times, samples, final), (loop_times, loop_samples, loop_final) = got, want
     assert samples.x.shape == (len(times),) + start.x.shape
-    assert np.array_equal(times, loop_times) and final.t == loop_final.t
+    steps = every * np.arange(n_steps // every + 1)
+    assert np.array_equal(times, start.t + dt * steps)
+    assert final.t == start.t + dt * n_steps
+    drift = n_steps * np.finfo(float).eps * abs(final.t)
+    assert np.abs(loop_times - times).max() <= drift and abs(loop_final.t - final.t) <= drift
     for a, b in zip((samples.u, samples.U, samples.du_dt, samples.dU_dt, final.x, final.v),
                     (loop_samples.u, loop_samples.U, loop_samples.du_dt, loop_samples.dU_dt,
                      loop_final.x, loop_final.v)):
@@ -308,8 +313,8 @@ def _assert_matches_reference(state, params, dt=0.05, n_steps=1200, every=7):
     assert not np.shares_memory(final.x, final.v)
     assert not any(np.shares_memory(arr, rec) for arr in (final.x, final.v)
                    for rec in (samples.x, samples.v))
-    _assert_close_to_loop(state, chain.simulate(state, dt, n_steps, params,
-                                                record_every=every), run)
+    _assert_close_to_loop(state, dt, n_steps, every,
+                          chain.simulate(state, dt, n_steps, params, record_every=every), run)
 
 
 def test_simulate_matches_reference_steps():
@@ -426,8 +431,8 @@ def test_simulate_matches_verlet_steps(states, every):
     stack = _stack(*states, t=states[0].t)
     dt, n_steps = 0.05, 2000
     got = chain.simulate(stack, dt, n_steps, params, record_every=every)
-    _assert_close_to_loop(stack, got, verify.verlet_steps(stack, dt, n_steps, params,
-                                                          record_every=every))
+    _assert_close_to_loop(stack, dt, n_steps, every, got,
+                          verify.verlet_steps(stack, dt, n_steps, params, record_every=every))
 
 
 @pytest.mark.parametrize("margin", [2.0, 2.5])
@@ -440,7 +445,7 @@ def test_simulate_at_and_past_the_stability_bound_matches_verlet_steps(margin):
     for stepper in (chain.simulate, verify.verlet_steps):
         with pytest.warns(RuntimeWarning, match="stability bound"):
             runs.append(stepper(state, dt, 12, PARAMS))
-    _assert_close_to_loop(state, *runs)
+    _assert_close_to_loop(state, dt, 12, 1, *runs)
     if margin > 2:
         assert np.abs(runs[0][2].x).max() > 1e3 * np.abs(state.x).max()
 
@@ -590,9 +595,10 @@ def _run_chain_cli(tmp_path, argv):
 def test_chain_cli_matches_verlet_steps(tmp_path, argv, n_sites, mode):
     s, t, cells = _run_chain_cli(tmp_path, argv)
     state = chain.init_mode(n_sites, mode, 1e-3, "optical", PARAMS)
-    times, loop, _ = verify.verlet_steps(state, s["dt"], s["n_steps"], PARAMS,
-                                         record_every=max(s["n_steps"] // 400, 1))
-    assert np.array_equal(t, np.repeat(times[:, None], n_sites, axis=1))
+    every = max(s["n_steps"] // 400, 1)
+    _, loop, _ = verify.verlet_steps(state, s["dt"], s["n_steps"], PARAMS, record_every=every)
+    steps = every * np.arange(len(t))
+    assert np.array_equal(t, np.repeat(s["dt"] * steps[:, None], n_sites, axis=1))
     for got, want in zip(cells, (loop.u, loop.U, loop.du_dt, loop.dU_dt)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -621,10 +627,26 @@ def test_simulate_record_every_not_dividing_n_steps():
     dt = 0.1
     times, samples, final = chain.simulate(state, dt, 10, PARAMS, record_every=3)
     # samples at steps 0, 3, 6, 9; step 10 ends the run unrecorded
-    assert times == pytest.approx([1.0, 1.3, 1.6, 1.9], abs=1e-12)
+    assert times.tolist() == [1.0, 1.3, 1.6, 1.9]
     assert all(a.shape == (4, 8) for a in (samples.u, samples.U, samples.du_dt, samples.dU_dt))
-    assert final.t == pytest.approx(2.0, abs=1e-12)
+    assert final.t == 2.0
     assert not np.array_equal(final.u, samples.u[-1])
+
+
+def test_simulate_costs_its_samples_not_its_steps():
+    # 10^12 steps, 101 frames: no per-step work, so the run takes milliseconds.
+    # The phase n theta reaches ~1e9 rad, so the samples match x_0 cos(n theta)
+    # only if each frame is evaluated at its exact step count.
+    state = chain.init_mode(8, 1, 1e-3, "acoustic", PARAMS)
+    dt = 0.01 / chain.max_frequency(PARAMS)
+    n_steps, every = 10**12, 10**10
+    times, samples, final = chain.simulate(state, dt, n_steps, PARAMS, record_every=every)
+    steps = every * np.arange(101)
+    assert len(times) == 101 and np.array_equal(times, dt * steps)
+    assert final.t == dt * n_steps
+    omega = chain.discrete_dispersion(2 * math.pi / 8, PARAMS)[0][0]
+    theta = dt * chain.verlet_frequency(omega, dt)
+    assert np.abs(samples.u - state.u * np.cos(steps[:, None] * theta)).max() <= 1e-12 * 1e-3
 
 
 def test_simulate_leaves_input_unchanged():

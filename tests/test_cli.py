@@ -709,6 +709,47 @@ def test_cli_contract_on_drawn_arguments(command, examples, tmp_path):
     check()
 
 
+# --- outputs that cannot be written ---------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "/dev/full"])
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _OUTPUTS.items() for f in flags])
+def test_unwritable_output_exits_1_with_one_line(command, flag, target, tmp_path, capsys):
+    path = {"missing-directory": tmp_path / "missing" / "out", "directory": tmp_path,
+            "/dev/full": Path("/dev/full")}[target]
+    others = [a for other in _OUTPUTS[command] if other != flag
+              for a in (other, str(tmp_path / other.strip("-")))]  # written, so only path fails
+    small = ["--n", "16"] if command == "chain" else []  # still three CSV passes
+    assert main([command, *small, flag, str(path), *others]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"dirac8 {command}: error: cannot write output: ")
+    if target != "/dev/full":
+        assert err[0].endswith(repr(str(path)))
+    assert not _csv_threads()
+
+
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_full_stdout_exits_1_with_one_line(command):
+    # as `dirac8 <command> > /dev/full`: the one message, and a quiet exit-time flush
+    proc = _python("-c", "import os, sys\n"
+                   "os.dup2(os.open('/dev/full', os.O_WRONLY), sys.stdout.fileno())\n"
+                   "from dirac8.cli import main\n"
+                   f"sys.exit(main([{command!r}]))")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"dirac8 {command}: error: cannot write output: No space left on device"]
+
+
+def test_verify_keeps_its_check_lines_when_its_report_cannot_be_written(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    proc = _python("-m", "dirac8.cli", "verify", "-o", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == _python("-m", "dirac8.cli", "verify").stdout
+    assert proc.stderr.splitlines() == [
+        f"dirac8 verify: error: cannot write output: No such file or directory: {str(path)!r}"]
+
+
 class _ReadRecorder(argparse.Namespace):
     """A namespace that records the name of every attribute read from it."""
 

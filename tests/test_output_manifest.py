@@ -32,6 +32,9 @@ RUNS = (
     ["solutions", "--pz", "0", "--epsilon", "2"],
     ["chain", "--n", "16", "--mode", "3", "--branch", "acoustic",
      "-o", "{out}/trajectory.csv", "--summary", "{out}/summary.json"],
+    # 364,518 steps: where a clock summed one dt at a time would drift most from n * dt
+    ["chain", "--n", "128", "--mode", "1", "--branch", "acoustic",
+     "-o", "{out}/trajectory.csv", "--summary", "{out}/summary.json"],
     ["evolve", "--branch", "acoustic-", "--k0", "0",
      "-o", "{out}/snapshots.csv", "--summary", "{out}/summary.json"],
     ["chain", "--dt", "10.0"],              # exit 1: past the stability bound

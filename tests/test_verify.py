@@ -3,6 +3,8 @@ here as references, and their readings must agree bit for bit."""
 
 import collections
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,3 +132,11 @@ def test_nullspace_deviation_stack_equals_lone_calls():
     assert np.array_equal(verify.nullspace_deviation(vectors.reshape(5, 1, 8),
                                                      operators.reshape(5, 1, 8, 8)),
                           got.reshape(5, 1))
+
+
+def test_stated_check_count_is_the_reports():
+    # the README and full_report's docstring both state how many checks verify runs
+    count = len(verify.full_report().checks)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"runs all (\d+) checks", readme) == [str(count)]
+    assert re.findall(r"Run all (\d+) checks", verify.full_report.__doc__) == [str(count)]
