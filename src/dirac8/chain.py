@@ -16,7 +16,6 @@ independent check of that map."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,19 +138,17 @@ def _verlet_power(theta, dt: float, steps):
     theta = 0 (omega = 0) and at theta = pi (omega dt = 2).  Each is the centre
     of one half of [0, pi]: about it, at the angle beta = theta or pi - theta,
     S_n = +-n sinc(n beta) / sinc(beta), whose denominator has no zero on that
-    half and takes the limit n at beta = 0.  Past the stability bound
-    theta = pi + i phi, beta is imaginary and the same formulas grow as
-    cosh and sinh of n phi.
+    half and takes the limit n at beta = 0.
     """
     n = np.asarray(steps, dtype=float).reshape((-1,) + (1,) * np.ndim(theta))
-    flip = theta.real > math.pi / 2
+    flip = theta > math.pi / 2
     beta = np.where(flip, math.pi - theta, theta)
     sign = np.where(flip, -1.0, 1.0)  # (-1)^n cos(n beta) = cos(n theta) on the flipped half
     sign_n = sign**n
     cos_n = sign_n * np.cos(n * beta)
     s_n = sign_n * sign * n * np.sinc(n * beta / math.pi) / np.sinc(beta / math.pi)
     r_n = sign_n * sign * np.sin(n * beta) * np.sin(beta)
-    return cos_n.real, dt * s_n.real, r_n.real / dt
+    return cos_n, dt * s_n, r_n / dt
 
 
 def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
@@ -175,21 +172,18 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
     samples at a time, so the cost follows the samples and not the steps.
     Step n is at time state.t + n dt.  The states agree with stepping
     (``verify.verlet_steps``) to rounding error; its clock, summed one dt at
-    a time, drifts from n dt by rounding.  Past the stability bound the map
-    grows, as the stepped iterates do.
+    a time, drifts from n dt by rounding.  Raises ``ValueError`` unless
+    dt ``max_frequency`` < 2, the stability bound, so every angle is real.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 0 or record_every < 1:
         raise ValueError("need n_steps >= 0 and record_every >= 1")
     if dt * max_frequency(params) >= 2.0:
-        warnings.warn("time step exceeds the velocity-Verlet stability bound "
-                      "dt * omega_max < 2", RuntimeWarning, stacklevel=2)
+        raise ValueError("time step violates the stability bound dt * omega_max < 2")
     n = state.n_sites
     omega, vecs = discrete_dispersion(2 * math.pi * np.fft.rfftfreq(n, params.a), params)
-    theta = dt * verlet_frequency(omega + 0j, dt)
-    if not theta.imag.any():  # every mode within the stability bound: real arithmetic
-        theta = theta.real
+    theta = dt * verlet_frequency(omega, dt)
     vec = vecs.transpose(2, 0, 1).copy()  # [species, branch, k], contiguous
     (a0, o0), (a1, o1) = vec
     inv = np.array([[o1, -o0], [-a1, a0]]) / (a0 * o1 - o0 * a1)     # [branch, species, k]
@@ -215,53 +209,37 @@ def simulate(state: LatticeState, dt: float, n_steps: int, params: ChainParams,
             LatticeState(x, v, state.t + dt * n_steps))
 
 
-def _spectral_peak(times: np.ndarray, signal: np.ndarray) -> float:
-    dt = times[1] - times[0]
-    sig = signal - signal.mean()
-    spec = np.abs(np.fft.rfft(sig))
-    freqs = 2 * math.pi * np.fft.rfftfreq(len(sig), d=dt)
-    i = int(np.argmax(spec[1:])) + 1
-    # parabolic interpolation around the peak bin
-    if 1 <= i < len(spec) - 1 and spec[i - 1] > 0 and spec[i + 1] > 0:
-        la, lb, lc = np.log(spec[i - 1]), np.log(spec[i]), np.log(spec[i + 1])
-        denom = la - 2 * lb + lc
-        shift = 0.5 * (la - lc) / denom if denom != 0 else 0.0
-        return float(freqs[i] + shift * (freqs[1] - freqs[0]))
-    return float(freqs[i])
-
-
 def measure_mode_frequency(times: np.ndarray, signal: np.ndarray) -> float:
-    """Dominant angular frequency of a uniformly sampled site displacement.
+    """Angular frequency of a uniformly sampled site displacement: one tone about 0.
 
-    A tone about 0 (a normal mode) with evenly spaced zero crossings obeys
-    x_{j+1} + x_{j-1} = 2 cos(theta) x_j, solved by least squares as
+    A tone (a normal mode) obeys x_{j+1} + x_{j-1} = 2 cos(theta) x_j,
+    solved by least squares as
     sin^2(theta / 2) = sum x_j (2 x_j - x_{j+1} - x_{j-1}) / (4 sum x_j^2):
-    exact at any phase and length (Prony; Kay, *Modern Spectral Estimation*,
-    1988).  Uneven crossings (superposed modes) take the interpolated spectral
-    peak.  Raises if the trajectory shows no oscillation, is subnormal (too
-    few significant bits to time) or spans fewer than ~3 periods.  A crossing
-    is a change of side of 0, +0 and -0 being one side, so none interpolates 0 / 0.
+    exact at any phase and length, however few samples a period has (Prony;
+    Kay, *Modern Spectral Estimation*, 1988).  Raises if the trajectory shows
+    no oscillation, is subnormal (too few significant bits to time), changes
+    side of 0 fewer than 6 times (~3 periods), or is no single tone: the fit
+    has no angle, or leaves more than 1e-6 of the second differences
+    unexplained (rounding leaves ~1e-12 on a chain run; a second tone leaves
+    about its relative amplitude).  +0 and -0 are one side of 0.
     """
     sig = np.asarray(signal, dtype=float)
-    centred = sig - sig.mean()
-    amp = np.abs(centred).max()
+    amp = np.abs(sig - sig.mean()).max()
     if amp == 0 or not np.isfinite(amp):
         raise ValueError("trajectory shows no oscillation")
     if amp < np.finfo(float).tiny:
         raise ValueError("trajectory underflows: its displacements are subnormal")
-    idx = np.nonzero(np.diff(sig < 0))[0]
-    if len(idx) < 6:
+    if np.count_nonzero(np.diff(sig < 0)) < 6:
         raise ValueError("trajectory too short: need at least 3 oscillation periods")
-    # linear-interpolated crossing times
-    t_cross = times[idx] + (times[idx + 1] - times[idx]) * (
-        -sig[idx] / (sig[idx + 1] - sig[idx]))
-    gaps = np.diff(t_cross)
-    if gaps.std() > 0.01 * gaps.mean():
-        return _spectral_peak(times, centred)
     mid = sig[1:-1]
-    half_sin2 = np.dot(mid, 2 * mid - sig[2:] - sig[:-2]) / (4 * np.dot(mid, mid))
+    curve = 2 * mid - sig[2:] - sig[:-2]
+    half_sin2 = np.dot(mid, curve) / (4 * np.dot(mid, mid))
     if not 0 <= half_sin2 <= 1:
-        raise ValueError(f"signal is no single tone: sin^2(theta / 2) = {half_sin2!r}")
+        raise ValueError(f"signal is no single tone: sin^2(theta / 2) = {float(half_sin2)!r}")
+    misfit = np.linalg.norm(curve - 4 * half_sin2 * mid) / np.linalg.norm(curve)
+    if misfit > 1e-6:
+        raise ValueError(f"signal is no single tone: the one-tone fit leaves "
+                         f"{misfit:.3g} of its second differences")
     return 2 * math.asin(math.sqrt(half_sin2)) / ((times[-1] - times[0]) / (len(times) - 1))
 
 

@@ -228,9 +228,13 @@ def test_step_equilibrium_fixed_point():
 
 
 def test_step_stability_warning():
+    # simulate refuses dt omega_max >= 2; the stepping reference warns and steps
     state = chain.init_mode(16, 1, 1e-3, "acoustic", PARAMS)
-    with pytest.warns(RuntimeWarning):
-        chain.simulate(state, 2.5 / chain.max_frequency(PARAMS), 1, PARAMS)
+    for margin in (2.0, 2.5):
+        with pytest.raises(ValueError, match="stability bound"):
+            chain.simulate(state, margin / chain.max_frequency(PARAMS), 1, PARAMS)
+    with pytest.warns(RuntimeWarning, match="stability bound"):
+        verify.verlet_steps(state, 2.5 / chain.max_frequency(PARAMS), 1, PARAMS)
 
 
 def test_mode_returns_after_period():
@@ -435,19 +439,39 @@ def test_simulate_matches_verlet_steps(states, every):
                           verify.verlet_steps(stack, dt, n_steps, params, record_every=every))
 
 
-@pytest.mark.parametrize("margin", [2.0, 2.5])
-def test_simulate_at_and_past_the_stability_bound_matches_verlet_steps(margin):
-    # dt omega_max = 2 turns the zone-edge optical mode by theta = pi, where
-    # sin(theta) = 0; past it the iterates grow, and the map must grow with them
+@pytest.mark.parametrize("margin", [1.9, 1.99, 1.999999, 2 - 1e-12])
+def test_simulate_near_the_stability_bound_matches_verlet_steps(margin):
+    # the zone-edge optical mode turns by theta near pi, where sin(theta) -> 0:
+    # the flipped half of _verlet_power.  Over 12 steps the loop's own rounding
+    # stays below 1e-12 of the amplitude; over thousands it would not.
     state = _random_state(16, seed=9)
     dt = margin / chain.max_frequency(PARAMS)
-    runs = []
-    for stepper in (chain.simulate, verify.verlet_steps):
-        with pytest.warns(RuntimeWarning, match="stability bound"):
-            runs.append(stepper(state, dt, 12, PARAMS))
-    _assert_close_to_loop(state, dt, 12, 1, *runs)
-    if margin > 2:
-        assert np.abs(runs[0][2].x).max() > 1e3 * np.abs(state.x).max()
+    _assert_close_to_loop(state, dt, 12, 1, chain.simulate(state, dt, 12, PARAMS),
+                          verify.verlet_steps(state, dt, 12, PARAMS))
+
+
+@pytest.mark.parametrize("n_sites", [2, 8, 16, 17])
+def test_simulate_at_the_largest_stable_dt_stays_finite(n_sites):
+    # the largest dt that simulate accepts; even rings hold the zone-edge mode,
+    # whose theta is then within ~4e-8 of pi
+    params = ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1)
+    omega_max = chain.max_frequency(params)
+    dt = 2 / omega_max
+    while dt * omega_max >= 2.0:
+        dt = np.nextafter(dt, 0.0)
+    state = _random_state(n_sites, seed=30 + n_sites)
+    with np.errstate(all="raise"):
+        _, samples, final = chain.simulate(state, dt, 3000, params, record_every=100)
+    for arr in (samples.x, samples.v, final.x, final.v):
+        assert np.isfinite(arr).all()
+
+
+def test_verlet_steps_grows_past_the_stability_bound():
+    # past dt omega_max = 2 the zone-edge optical mode's iterates grow by cosh(n phi)
+    state = _random_state(16, seed=9)
+    with pytest.warns(RuntimeWarning, match="stability bound"):
+        *_, final = verify.verlet_steps(state, 2.5 / chain.max_frequency(PARAMS), 12, PARAMS)
+    assert np.abs(final.x).max() > 1e3 * np.abs(state.x).max()
 
 
 def test_simulate_translates_the_uniform_mode():
@@ -633,19 +657,23 @@ def test_simulate_record_every_not_dividing_n_steps():
     assert not np.array_equal(final.u, samples.u[-1])
 
 
-def test_simulate_costs_its_samples_not_its_steps():
+@pytest.mark.parametrize("branch", dispersion.KINDS)
+@pytest.mark.parametrize("mode", [1, 2, 3, 4])
+def test_simulate_costs_its_samples_not_its_steps(mode, branch):
     # 10^12 steps, 101 frames: no per-step work, so the run takes milliseconds.
     # The phase n theta reaches ~1e9 rad, so the samples match x_0 cos(n theta)
-    # only if each frame is evaluated at its exact step count.
-    state = chain.init_mode(8, 1, 1e-3, "acoustic", PARAMS)
+    # only if each frame is evaluated at its exact step count, and each mode
+    # turns by the very angle dt verlet_frequency gives (a 1-ulp error in
+    # theta moves the phase by ~1e-7).
+    state = chain.init_mode(8, mode, 1e-3, branch, PARAMS)
     dt = 0.01 / chain.max_frequency(PARAMS)
     n_steps, every = 10**12, 10**10
     times, samples, final = chain.simulate(state, dt, n_steps, PARAMS, record_every=every)
     steps = every * np.arange(101)
     assert len(times) == 101 and np.array_equal(times, dt * steps)
     assert final.t == dt * n_steps
-    omega = chain.discrete_dispersion(2 * math.pi / 8, PARAMS)[0][0]
-    theta = dt * chain.verlet_frequency(omega, dt)
+    omega = chain.discrete_dispersion(2 * math.pi * mode / 8, PARAMS)[0]
+    theta = dt * chain.verlet_frequency(omega[dispersion.KINDS.index(branch)], dt)
     assert np.abs(samples.u - state.u * np.cos(steps[:, None] * theta)).max() <= 1e-12 * 1e-3
 
 
@@ -693,11 +721,11 @@ def test_measure_mode_frequency_recovers_a_partial_period_tone(seed):
 
 
 def test_measure_mode_frequency_rejects_an_estimate_with_no_angle():
-    # the Nyquist tone (-1)^j with raised end samples: its crossings are even,
-    # but sin^2(theta / 2) > 1 has no angle, so it raises, not a math domain error
+    # the Nyquist tone (-1)^j with raised end samples: sin^2(theta / 2) > 1 has
+    # no angle, so it raises, not a math domain error
     signal = (-1.0) ** np.arange(40)
     signal[[0, -1]] *= 1.01
-    with pytest.raises(ValueError, match="no single tone"):
+    with pytest.raises(ValueError, match=r"no single tone: sin\^2\(theta / 2\) = 1\.0001"):
         chain.measure_mode_frequency(np.arange(40.0), signal)
 
 
@@ -714,20 +742,39 @@ def test_measure_mode_frequency_rejects_a_subnormal_trajectory():
 
 
 def test_measure_mode_frequency_signed_zeros_are_one_side():
-    # +0 then -0 is no crossing: counting it would interpolate 0 / 0
+    # +0 then -0 is no change of side.  The signal is no one tone, so it
+    # raises that, and no floating-point error on the way.
     dt = 0.1
     signal = np.tile([1.0, 0.0, -0.0, -1.0, -0.0, 0.0], 20)  # mean exactly 0
-    with np.errstate(all="raise"):
-        measured = chain.measure_mode_frequency(dt * np.arange(len(signal)), signal)
-    assert measured == pytest.approx(2 * math.pi / (6 * dt), rel=1e-2)
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="no single tone"):
+        chain.measure_mode_frequency(dt * np.arange(len(signal)), signal)
 
 
 def test_measure_mode_frequency_superposition():
-    # synthetic two-tone signal: must lock onto the stronger component
+    # two superposed tones are no normal mode: no one-tone recurrence fits them
     times = np.linspace(0, 400, 8192)
     sig = 1.0 * np.cos(1.3 * times) + 0.3 * np.cos(2.1 * times)
-    measured = chain.measure_mode_frequency(times, sig)
-    assert measured == pytest.approx(1.3, rel=1e-2)
+    with pytest.raises(ValueError, match="no single tone"):
+        chain.measure_mode_frequency(times, sig)
+
+
+@pytest.mark.parametrize("margin", [1.5, 1.9])
+def test_measure_mode_frequency_reads_a_tone_with_few_samples_a_period(margin, tmp_path):
+    # near the stability bound the zone-edge optical mode turns by most of pi
+    # a step, and a chain run records every step: 2-4 samples a period, whose
+    # linear-interpolated zero crossings are uneven.  They are still one tone.
+    n, mode = 4, 2
+    omega = chain.discrete_dispersion(math.pi / PARAMS.a, PARAMS)[0][1]
+    dt = margin / chain.max_frequency(PARAMS)
+    omega_verlet = chain.verlet_frequency(omega, dt)
+    state = chain.init_mode(n, mode, 1e-3, "optical", PARAMS)
+    n_steps = int(8 * 2 * math.pi / omega / dt)
+    times, samples, _ = chain.simulate(state, dt, n_steps, PARAMS)
+    measured = chain.measure_mode_frequency(times, samples.u[:, 0])
+    assert measured == pytest.approx(omega_verlet, rel=1e-12)
+    s, t, _ = _run_chain_cli(tmp_path, ["--n", str(n), "--mode", str(mode), "--dt", repr(float(dt))])
+    assert (s["n_steps"], len(t)) == (n_steps, n_steps + 1)
+    assert s["omega_measured"] == pytest.approx(omega_verlet, rel=1e-12)
 
 
 def test_convergence_exponent():

@@ -35,6 +35,9 @@ RUNS = (
     # 364,518 steps: where a clock summed one dt at a time would drift most from n * dt
     ["chain", "--n", "128", "--mode", "1", "--branch", "acoustic",
      "-o", "{out}/trajectory.csv", "--summary", "{out}/summary.json"],
+    # optical mode 3 of 8 sites, where a complex arcsin's angle is off the real one by an ulp
+    ["chain", "--n", "8", "--mode", "3",
+     "-o", "{out}/trajectory.csv", "--summary", "{out}/summary.json"],
     ["evolve", "--branch", "acoustic-", "--k0", "0",
      "-o", "{out}/snapshots.csv", "--summary", "{out}/summary.json"],
     ["chain", "--dt", "10.0"],              # exit 1: past the stability bound

@@ -140,3 +140,15 @@ def test_stated_check_count_is_the_reports():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert re.findall(r"runs all (\d+) checks", readme) == [str(count)]
     assert re.findall(r"Run all (\d+) checks", verify.full_report.__doc__) == [str(count)]
+
+
+def test_stated_readings_are_the_reports():
+    # the README quotes three of verify's readings as '"<check>" ... reads X against Y'
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    number = r"(\d(?:\.\d+)?e[-+]?\d+)"
+    stated = re.findall(rf'"([^"]+)"[^"]*? reads {number} against {number}', readme)
+    assert len(stated) == 3
+    checks = {c.name: c for c in verify.full_report().checks}
+    for name, measured, tolerance in stated:
+        assert (f"{checks[name].measured:.1e}", float(tolerance)) == (
+            measured, checks[name].tolerance), name
