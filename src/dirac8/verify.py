@@ -200,31 +200,56 @@ def _verlet_frames(start: chain.LatticeState, dt: float, params: ChainParams,
     """u at site 0 of the first ring over n_frames recorded frames, and the last frame.
 
     The same run as ``verlet_steps(start, dt, n, params, record_every)`` with
-    n = record_every (n_frames - 1), from powers of its one-step map: the
-    chain is linear, so one ``verlet_steps`` step of the unit states is the
-    map M, and F = M^record_every (three squarings at 8) moves every ring on
-    by one frame.  The rings advance _FRAME_BLOCK frames per product with
-    F^_FRAME_BLOCK, and row 0 of F^1 .. F^_FRAME_BLOCK gives each block's
-    site-0 values, so no other frame is kept.
+    n = record_every (n_frames - 1), from powers of its one-step map M.  The
+    chain is linear, so M is a matrix, and periodic, so M commutes with a
+    cyclic shift of the sites: its column for a unit state at site s is its
+    column for site 0 shifted by s.  One ``verlet_steps`` step of the 4
+    impulses at site 0 (one each in u, U, du/dt and dU/dt) therefore gives
+    all of M as its (4n, 4) kernel, and so for every power of M.  Two such
+    maps compose as the kernel ``dense(A) @ kernel(B)``, where ``dense``
+    spreads a kernel into its (4n, 4n) matrix by one ``np.take``; the
+    powers F = M^record_every, which moves every ring on by one frame, and
+    F^_FRAME_BLOCK are formed by squaring that way.  The rings advance
+    _FRAME_BLOCK frames per product with F^_FRAME_BLOCK, and row 0 of
+    F^1 .. F^_FRAME_BLOCK gives each block's site-0 values, so no other
+    frame is kept.
     """
     shape = start.x.shape
-    size = 2 * shape[-2] * shape[-1]  # x and v of one ring
-    units = np.eye(size).reshape(size, 2, *shape[-2:])
-    *_, one = verlet_steps(chain.LatticeState(units[:, 0], units[:, 1]), dt, 1, params)
-    frame = np.linalg.matrix_power(np.concatenate((one.x, one.v), 1).reshape(size, size).T,
-                                   record_every)
+    n_sites, parts = shape[-1], 2 * shape[-2]  # parts: u, U, du/dt, dU/dt
+    size = parts * n_sites
+    impulses = np.zeros((parts, parts, n_sites))
+    impulses[:, :, 0] = np.eye(parts)
+    *_, one = verlet_steps(chain.LatticeState(impulses[:, :shape[-2]], impulses[:, shape[-2]:]),
+                           dt, 1, params)
+    # M[(p, s), (q, r)] = kernel[(p, s - r mod n), q], one flat index into the kernel
+    p, s, q, r = np.ix_(range(parts), range(n_sites), range(parts), range(n_sites))
+    index = ((p * n_sites + (s - r) % n_sites) * parts + q).reshape(size, size)
+
+    def dense(kernel):
+        return np.take(kernel, index)
+
+    def power(kernel, exponent):  # exponent >= 1, by squaring
+        if exponent == 1:
+            return kernel
+        half = power(kernel, exponent // 2)
+        whole = dense(half) @ half
+        return whole if exponent % 2 == 0 else dense(whole) @ kernel
+
+    frame_kernel = power(np.concatenate((one.x, one.v), 1).reshape(parts, size).T,
+                         record_every)
+    frame = dense(frame_kernel)
     rows = np.empty((_FRAME_BLOCK, size))  # row 0 of F^1 .. F^_FRAME_BLOCK
     rows[0] = frame[0]
     for k in range(1, _FRAME_BLOCK):
         rows[k] = rows[k - 1] @ frame
-    leap = np.linalg.matrix_power(frame, _FRAME_BLOCK)
+    leap = dense(power(frame_kernel, _FRAME_BLOCK))
     rings = np.concatenate((start.x, start.v), -2).reshape(-1, size).T  # one column a ring
     trace = np.empty(n_frames)
     trace[0] = rings[0, 0]
     for j in range(1, n_frames, _FRAME_BLOCK):
         k = min(_FRAME_BLOCK, n_frames - j)
         trace[j:j + k] = rows[:k] @ rings[:, 0]
-        rings = (leap if k == _FRAME_BLOCK else np.linalg.matrix_power(frame, k)) @ rings
+        rings = (leap if k == _FRAME_BLOCK else dense(power(frame_kernel, k))) @ rings
     x, v = np.moveaxis(rings.T.reshape(*shape[:-2], 2, *shape[-2:]), -3, 0)
     return trace, chain.LatticeState(x, v, start.t + record_every * (n_frames - 1) * dt)
 

@@ -505,6 +505,38 @@ def test_verlet_frames_match_the_loop():
     _assert_within_amplitude(((trace, samples.u[:, 0, 0]), (final.x, end.x), (final.v, end.v)))
 
 
+@pytest.mark.parametrize("n_sites, params, dt", [
+    (64, PARAMS, 0.01 / chain.max_frequency(PARAMS)),  # the rings of verify's chain checks
+    (24, ChainParams(m=1, M=4, K=1.5, I=0.7, J=2.0, a=1), 0.05),
+], ids=["64-sites", "24-sites"])
+def test_one_step_map_is_its_site_0_impulses_shifted(n_sites, params, dt):
+    # _verlet_frames steps the 4 impulses at site 0 and reads every other
+    # column of the one-step map as their cyclic shift, bit for bit
+    size = 4 * n_sites
+    units = np.eye(size).reshape(size, 2, 2, n_sites)  # unit state (part, site) at part * n + site
+    *_, full = verify.verlet_steps(chain.LatticeState(units[:, 0], units[:, 1]), dt, 1, params)
+    impulses = units.reshape(4, n_sites, 2, 2, n_sites)[:, 0]
+    *_, kernel = verify.verlet_steps(chain.LatticeState(impulses[:, 0], impulses[:, 1]),
+                                     dt, 1, params)
+    kernel = np.concatenate((kernel.x, kernel.v), 1)  # (part, stepped part, site)
+    shifted = [[np.roll(k, site, axis=-1) for site in range(n_sites)] for k in kernel]
+    assert np.array_equal(np.concatenate((full.x, full.v), 1).reshape(4, n_sites, 4, n_sites),
+                          shifted)
+
+
+def test_verlet_frames_steps_only_the_site_0_impulses(monkeypatch):
+    stepped, step = [], verify.verlet_steps
+
+    def counted(state, *args, **kwargs):
+        stepped.append(state.x.shape)
+        return step(state, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "verlet_steps", counted)
+    stack = _stack(_random_state(64, seed=3), _random_state(64, seed=4))
+    verify._verlet_frames(stack, 0.01, PARAMS, 8, 100)
+    assert stepped == [(4, 2, 64)]
+
+
 def test_chain_checks_equal_two_lone_runs():
     rep = VerificationReport()
     verify._chain_checks(rep)

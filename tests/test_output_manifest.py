@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -84,6 +85,11 @@ def test_outputs_match_the_manifest(tmp_path):
     assert [r["argv"] for r in manifest["runs"]] == [r["argv"] for r in runs]
     for want, got in zip(manifest["runs"], runs):
         assert got == want, f"{' '.join(got['argv'])}: {where}"
+
+
+def test_stated_run_count_is_the_manifests():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"for (\d+) fixed runs", readme) == [str(len(RUNS))]
 
 
 if __name__ == "__main__":
