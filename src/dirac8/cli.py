@@ -78,11 +78,11 @@ def _header(units: str, epsilon) -> list[str]:
     return [f"# units: {units}", f"# epsilon: {epsilon!r}"]
 
 
-_CHUNK_CELLS = 16384  # cells formatted per pass, which bounds the memory a pass takes
+_CHUNK_CELLS = 32768  # cells formatted per pass, which bounds the memory a pass takes
 
 
 def _csv(head: list[str], shape, columns):
-    """Yield the header lines, then the table's CSV lines, one pass of about 16k cells at a time.
+    """Yield the header lines, then the table's CSV lines, one pass of about 32k cells at a time.
 
     The table has a row per index of ``shape``, in C order.  Each column has
     an axis per axis of ``shape``, of its length or of length 1 where the

@@ -15,8 +15,7 @@ No numerical eigen-solve is involved, and at k = 0, where the acoustic
 energies coincide, the two acoustic vectors stay independent by construction.
 The tests cross-check it with an RK4 method-of-lines stepper on the assembled
 sector matrices.  A packet's position is its intensity-weighted circular
-mean, for one state (``packet_centroid``) or along a track of them
-(``centroid_track``).  The second-order system x'' = -D x
+mean, taken along a stream of states by ``centroid_track``.  The second-order system x'' = -D x
 evolves per mode by its closed-form propagator in cos and sinc of the roots
 of D.  Both systems have four rows per grid point and share one state type,
 ``FieldState(fields, L, t)``.
@@ -173,11 +172,6 @@ def centroid_track(states) -> tuple[np.ndarray, np.ndarray]:
         times.append(state.t)
         positions.append(float(np.angle(mean) % (2 * math.pi)) * state.L / (2 * math.pi))
     return np.array(times), np.array(positions)
-
-
-def packet_centroid(state: FieldState) -> float:
-    """Intensity-weighted circular mean position over the periodic domain."""
-    return float(centroid_track([state])[1][0])
 
 
 def centroid_velocity(times, positions, L: float) -> tuple[float, float]:

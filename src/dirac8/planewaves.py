@@ -49,14 +49,6 @@ class PlaneWaveSolution:
         if self.spin not in ("up", "down"):
             raise ValueError(f"spin must be 'up' or 'down', got {self.spin!r}")
 
-    def phase(self, t: float, z: float, params: QuantumParams) -> complex:
-        """Plane-wave factor exp(-i (E t - p_z z)/hbar) at (t, z)."""
-        return np.exp(-1j * (self.E * t - self.p_z * z) / params.hbar)
-
-    def evaluate(self, t: float, z: float, params: QuantumParams) -> np.ndarray:
-        """Field values at (t, z): amplitudes times the plane-wave factor."""
-        return self.amplitudes * self.phase(t, z, params)
-
     @property
     def sector_amplitudes(self) -> np.ndarray:
         """The four amplitudes of the occupied spin sector, ordered (b, b', d, d')."""

@@ -134,9 +134,10 @@ def test_cells_keep_the_shape_and_pad_with_nul():
 
 def test_cells_peak_memory_on_a_cli_chunk():
     # 4 columns of 1,365 rows: 1,654,516 bytes was the peak of the kernel that multiplied
-    # out each bound's products separately.  4 columns of 2,730 rows, the chain's pass:
-    # 954,112 bytes measured, bounded at 88 bytes a value.
-    for rows, bound in ((1365, 1_654_516), (2730, 88 * 4 * 2730)):
+    # out each bound's products separately.  4 columns of 2,730 rows, the chain's old pass,
+    # and of 5,461 rows, its pass at 32,768 cells: 908,716 and 1,801,840 bytes measured
+    # (83.2 and 82.5 bytes a value), bounded at 88 bytes a value.
+    for rows, bound in ((1365, 1_654_516), (2730, 88 * 4 * 2730), (5461, 88 * 4 * 5461)):
         values = np.sin(np.arange(4.0 * rows)).reshape(4, rows) * 1e-3
         textfmt.cells(values)  # the tables are built on the first call only
         tracemalloc.start()
