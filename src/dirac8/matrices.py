@@ -27,14 +27,6 @@ _PAULI = {
 }
 
 
-def pauli(axis: str) -> np.ndarray:
-    """Return the 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}") from None
-
-
 _ALPHA = {0: np.block([[I2, Z2], [Z2, -I2]]),
           **{j: np.block([[Z2, s], [s, Z2]]) for j, s in enumerate(_PAULI.values(), 1)}}
 _A = {"0-": np.block([[Z4, Z4], [-_ALPHA[0], _ALPHA[0]]]),

@@ -250,14 +250,16 @@ def test_chain_unstable_dt(capsys):
                                        "stability bound dt * omega_max < 2\n")
 
 
-def test_chain_unstable_dt_wins_over_a_stalled_clock(tmp_path, capsys):
+def test_chain_argument_errors_come_before_the_run(tmp_path, capsys):
     # tiny couplings make the acoustic omega tiny and sim_time so large that
-    # dt = 10 would not advance the clock (exit 2); the stability bound fails first
+    # dt = 10 does not advance the clock (exit 2); dt = 10 is also past the
+    # stability bound, which the run refuses (exit 1), but the run never starts
     out = tmp_path / "t.csv"
     assert main(["chain", "--I", "1e-200", "--J", "1e-200", "--branch", "acoustic",
-                 "--mode", "1", "--n", "8", "--dt", "10", "-o", str(out)]) == 1
-    assert capsys.readouterr().err == ("dirac8 chain: error: time step violates the "
-                                       "stability bound dt * omega_max < 2\n")
+                 "--mode", "1", "--n", "8", "--dt", "10", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("dirac8 chain: error: a step of 10.0 does not advance "
+                                       "the clock at 1.038413207950769e+102; raise --dt or "
+                                       "lower --periods\n")
     assert not out.exists()
 
 

@@ -9,29 +9,12 @@ from dirac8.dispersion import BRANCHES, branch_energy
 from dirac8.params import QuantumParams
 
 
-def test_pauli_entries():
-    assert np.array_equal(matrices.pauli("x"), [[0, 1], [1, 0]])
-    assert np.array_equal(matrices.pauli("y"), [[0, -1j], [1j, 0]])
-    assert np.array_equal(matrices.pauli("z"), [[1, 0], [0, -1]])
-
-
-def test_pauli_squares_to_identity():
-    for axis in "xyz":
-        s = matrices.pauli(axis)
-        assert np.array_equal(s @ s, matrices.I2)
-
-
-def test_pauli_unknown_axis():
-    with pytest.raises(ValueError):
-        matrices.pauli("w")
-
-
 def test_alpha_blocks():
     a0 = matrices.alpha(0)
     assert np.array_equal(a0, np.diag([1, 1, -1, -1]))
     a3 = matrices.alpha(3)
-    assert np.array_equal(a3[:2, 2:], matrices.pauli("z"))
-    assert np.array_equal(a3[2:, :2], matrices.pauli("z"))
+    assert np.array_equal(a3[:2, 2:], [[1, 0], [0, -1]])
+    assert np.array_equal(a3[2:, :2], [[1, 0], [0, -1]])
     assert np.array_equal(a3[:2, :2], matrices.Z2)
 
 

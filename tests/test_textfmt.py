@@ -164,7 +164,7 @@ def _csv(head, frames):
     ([], 128, {}),
     (["--n", "16", "--mode", "3", "--branch", "acoustic", "--I", "0.7", "--M", "2.5"], 16,
      {"I": 0.7, "M": 2.5}),
-    # passes of 2,730 rows that cross the 512-site frames
+    # passes of 5,461 rows that cross the 512-site frames
     (["--n", "512", "--mode", "3"], 512, {}),
     (["--n", "512", "--mode", "220", "--branch", "acoustic"], 512, {})],
     ids=["defaults", "acoustic", "n512-optical", "n512-acoustic"])
