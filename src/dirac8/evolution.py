@@ -38,8 +38,9 @@ from .params import ContinuumParams, QuantumParams
 class FieldState:
     """Four complex rows on a periodic grid of n_grid points, fields of shape (4, n_grid).
 
-    For ``evolve`` the rows are one spin sector's (Psi_1, Psi_3, Phi_1, Phi_3);
-    the opposite spin sector is the same system under the index relabeling.
+    For ``evolve`` the rows are the spin-up sector's (Psi_1, Psi_3, Phi_1, Phi_3);
+    spin-down is the spin-up system with Psi_4 and Phi_4 negated (the spin-up
+    system at -p_z), and ``evolve`` runs spin-up only.
     For ``evolve_kgf`` they are (psi, phi, dpsi/dt, dphi/dt).
     """
 

@@ -33,9 +33,6 @@ _A = {"0-": np.block([[Z4, Z4], [-_ALPHA[0], _ALPHA[0]]]),
       "0+": np.block([[_ALPHA[0], -_ALPHA[0]], [Z4, Z4]]),
       **{str(j): np.block([[_ALPHA[j], Z4], [Z4, _ALPHA[j]]]) for j in (1, 2, 3)}}
 
-# positions of (b, b', d, d') in the eight-component vector, per spin
-SPIN_SLOTS = {"up": [0, 2, 4, 6], "down": [1, 3, 5, 7]}
-
 
 def alpha(index: int) -> np.ndarray:
     """Return a copy of one of the four anticommuting 4x4 alpha matrices.
@@ -93,17 +90,6 @@ def hamiltonian_d8(p, params: QuantumParams) -> np.ndarray:
     for j in range(3):
         H = H + params.c * p[j] * _A[str(j + 1)]
     return H
-
-
-def spin_sector_hamiltonian(p_z: float, params: QuantumParams) -> np.ndarray:
-    """4x4 momentum-space matrix of the 1-D first-order system, one spin sector.
-
-    The block of ``hamiltonian_d8((0, 0, p_z), params)`` on the spin-up slots
-    (Psi_1, Psi_3, Phi_1, Phi_3); the opposite-spin sector obeys the same
-    matrix after the index relabeling 1->2, 3->4.
-    """
-    up = SPIN_SLOTS["up"]
-    return hamiltonian_d8((0.0, 0.0, p_z), params)[np.ix_(up, up)]
 
 
 def null_space(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:

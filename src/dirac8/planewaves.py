@@ -2,8 +2,9 @@
 
 Eight linearly independent solutions exist at each momentum: two dispersion
 branches x two energy signs x two spin orientations.  Spin-up solutions live
-in wave-function components (1, 3) of each sector; spin-down solutions are
-obtained by the index relabeling 1->2, 3->4.
+in wave-function components (1, 3) of each sector, spin-down ones in (2, 4).
+Spin-down is the spin-up system with Psi_4 and Phi_4 negated (the spin-up
+system at -p_z).  Every solution is measured against ``hamiltonian_d8``.
 
 Amplitude vectors are ordered (b1, b2, b3, b4, d1, d2, d3, d4), matching the
 eight-component wave function (Psi_1..Psi_4, Phi_1..Phi_4).
@@ -17,8 +18,11 @@ import numpy as np
 
 from .dispersion import (BRANCHES, OPTICAL_MINUS, OPTICAL_PLUS, Branch,
                          amplitude_pair, branch_energy)
-from .matrices import SPIN_SLOTS, spin_sector_hamiltonian
+from .matrices import hamiltonian_d8
 from .params import QuantumParams
+
+# positions of (b, b', d, d') in the eight-component vector, per spin
+SPIN_SLOTS = {"up": [0, 2, 4, 6], "down": [1, 3, 5, 7]}
 
 # Fault-injection hooks for verifying that the checks are sensitive.
 # Known fault names: "b3-ratio" (scales the positive-optical amplitude ratio).
@@ -62,16 +66,19 @@ def build_solution(branch: Branch, spin: str, p_z: float,
     Its sector amplitudes (b1, b3, d1, d3) are closed forms: b3 is the ratio
     b3/b1 of ``dispersion.amplitude_pair`` (the negative optical branch uses
     its rationalized form).  The secondary sector repeats the primary one on
-    the acoustic branches and is d = -eps^2 b on the optical ones.  At p_z = 0
+    the acoustic branches and is d = -eps^2 b on the optical ones.  Spin-down
+    is the spin-up system with Psi_4 and Phi_4 negated (the spin-up system at
+    -p_z), so its sector (b2, b4, d2, d4) holds the negated ratio.  At p_z = 0
     exactly, the negative-optical eigenvector has no component on b1; the
-    continuous limit (0, 1, 0, d3) is returned, seeded b3 = 1.
+    continuous limit (0, 1, 0, d3) is returned, seeded b3 = 1, for both spins,
+    whose blocks are equal there.
     """
     g = 1.0 if branch.kind == "acoustic" else -params.epsilon**2
     pair_b1, pair_b3 = amplitude_pair(branch, p_z, params)
     if pair_b1 == 0:
         sector, form = (0.0, 1.0, 0.0, g), "pz0-limit"
     else:
-        ratio = pair_b3 / pair_b1
+        ratio = pair_b3 / pair_b1 if spin == "up" else -pair_b3 / pair_b1
         if branch == OPTICAL_PLUS and "b3-ratio" in _FAULTS:
             ratio *= 1.01
         sector = (1.0, ratio, g, ratio * g)
@@ -84,15 +91,18 @@ def build_solution(branch: Branch, spin: str, p_z: float,
 
 
 def residual(solution: PlaneWaveSolution, params: QuantumParams) -> float:
-    """Max modulus of the four sector equations on the solution: max |E v - H v|.
+    """Max modulus of the eight equations on the solution: max |E a - H_D8 a|.
 
-    The plane-wave factor exp(-i (E t - p_z z)/hbar) has modulus 1 and the
+    H_D8 is ``hamiltonian_d8((0, 0, p_z), params)`` and a runs over all eight
+    amplitudes, so both spins meet the same operator: spin-down is the spin-up
+    system with Psi_4 and Phi_4 negated (the spin-up system at -p_z).  The
+    plane-wave factor exp(-i (E t - p_z z)/hbar) has modulus 1 and the
     derivatives act on it as d/dt -> -iE/hbar, d/dz -> i p_z/hbar, so the
-    residual at every (t, z) is that of the sector amplitudes v.
+    residual at every (t, z) is that of the amplitudes a.
     """
-    H = spin_sector_hamiltonian(solution.p_z, params)
-    v = solution.sector_amplitudes
-    return float(np.max(np.abs(solution.E * v - H @ v)))
+    a = solution.amplitudes
+    H = hamiltonian_d8((0.0, 0.0, solution.p_z), params)
+    return float(np.max(np.abs(solution.E * a - H @ a)))
 
 
 def catalog_eight(p_z: float, params: QuantumParams) -> list[PlaneWaveSolution]:

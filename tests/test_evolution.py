@@ -10,11 +10,18 @@ from dirac8.chain import measure_mode_frequency
 from dirac8.dispersion import (ACOUSTIC_MINUS, ACOUSTIC_PLUS, BRANCHES,
                                OPTICAL_MINUS, OPTICAL_PLUS, branch_energy,
                                branch_frequency, group_velocity, modes)
-from dirac8.matrices import spin_sector_hamiltonian
+from dirac8.matrices import hamiltonian_d8
 from dirac8.params import ContinuumParams, QuantumParams
 
 QP = QuantumParams(epsilon=0.5)
 EPSILONS = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0)
+
+
+def _up_block(p_z, params):
+    """The block of H_D8(0, 0, p_z) on the spin-up slots (Psi_1, Psi_3, Phi_1, Phi_3),
+    the four rows that ``evolve`` runs."""
+    up = pw.SPIN_SLOTS["up"]
+    return hamiltonian_d8((0.0, 0.0, p_z), params)[np.ix_(up, up)]
 
 
 def evolve_rk4(state, dt, n_steps, params):
@@ -26,8 +33,8 @@ def evolve_rk4(state, dt, n_steps, params):
     if dt >= state.dz / (4 * params.c):
         raise ValueError("rk4 step too large: require dt < dz / (4 c)")
     ks = 2 * math.pi * np.fft.fftfreq(state.n_grid, d=state.dz)
-    H0 = spin_sector_hamiltonian(0.0, params)
-    dH = spin_sector_hamiltonian(1.0, params) - H0
+    H0 = _up_block(0.0, params)
+    dH = _up_block(1.0, params) - H0
     M = -1j * (H0 + (params.hbar * ks)[:, None, None] * dH) / params.hbar
 
     def rhs(c):
@@ -326,7 +333,7 @@ def test_modes_are_the_eigensystem_of_the_sector_matrix(eps):
     E, R, Lt = modes(ks, qp)
     assert E.shape == (len(ks), 4) and R.shape == Lt.shape == (len(ks), 4, 4)
     for i, k in enumerate(ks):
-        H = spin_sector_hamiltonian(qp.hbar * k, qp)
+        H = _up_block(qp.hbar * k, qp)
         scale = np.linalg.norm(H, 2)
         assert np.linalg.norm(H @ R[i] - R[i] * E[i], 2) <= 1e-12 * scale
         assert (np.linalg.norm(Lt[i] @ H - E[i][:, None] * Lt[i], 2)
@@ -345,7 +352,7 @@ def test_modes_match_numerical_eig(eps):
     ks = ks[ks != 0]  # eig's basis of the degenerate acoustic pair is arbitrary
     E, R, _ = modes(ks, qp)
     for i, k in enumerate(ks):
-        H = spin_sector_hamiltonian(qp.hbar * k, qp)
+        H = _up_block(qp.hbar * k, qp)
         w, V = np.linalg.eig(H)
         scale = np.linalg.norm(H, 2)
         for j in range(4):
@@ -365,7 +372,7 @@ def test_spectral_evolve_matches_matrix_exponential(eps):
     coeffs = np.fft.fft(fields, axis=1)
     ref = np.empty_like(coeffs)
     for i, k in enumerate(evo._wavenumbers(n, L)):
-        H = spin_sector_hamiltonian(qp.hbar * k, qp)
+        H = _up_block(qp.hbar * k, qp)
         ref[:, i] = scipy.linalg.expm(-1j * H * T / qp.hbar) @ coeffs[:, i]
     ref = np.fft.ifft(ref, axis=1)
     assert np.max(np.abs(out.fields - ref)) < 1e-12 * np.abs(fields).max()
@@ -401,7 +408,7 @@ def test_conserved_quadratic_matches_eig_reference(eps):
     state = evo.FieldState(np.fft.ifft(coeffs, axis=1), L)
     ref = 0.0
     for i, k in enumerate(evo._wavenumbers(n, L)):
-        _, V = np.linalg.eig(spin_sector_hamiltonian(qp.hbar * k, qp))
+        _, V = np.linalg.eig(_up_block(qp.hbar * k, qp))
         ref += np.sum(np.abs(np.linalg.solve(V, coeffs[:, i])) ** 2)
     assert evo.conserved_quadratic(state, qp) == pytest.approx(ref, rel=1e-12)
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -140,41 +138,6 @@ def test_d8_spectrum_matches_branches():
             expected = np.sort(np.repeat(
                 [branch_energy(b, p, qp) for b in BRANCHES], 2))
             assert np.allclose(np.sort(ev.real), expected, atol=1e-10 * qp.gap_energy)
-
-
-def _reference_sector_hamiltonian(p_z, params):
-    """The spin-up sector matrix written out entry by entry, (Psi_1, Psi_3, Phi_1, Phi_3)."""
-    cp = params.c * p_z
-    me, mf = params.mu_e, params.mu_f
-    return np.array(
-        [
-            [me, cp, -me, 0.0],
-            [cp, -me, 0.0, me],
-            [-mf, 0.0, mf, cp],
-            [0.0, mf, cp, -mf],
-        ],
-        dtype=complex,
-    )
-
-
-def test_spin_sector_hamiltonian_is_the_d8_block_bit_for_bit():
-    rng = np.random.default_rng(8)
-    n_draws = 1200
-    for i in range(n_draws):
-        m_e, c, hbar = 10.0 ** rng.uniform(-2, 2, size=3)
-        eps = 0.0 if i % 7 == 0 else rng.uniform(0, 3)
-        p_z = (0.0, -0.0)[i % 2] if i % 5 == 0 else rng.uniform(-10, 10)
-        qp = QuantumParams(m_e=m_e, epsilon=eps, c=c, hbar=hbar)
-        got = matrices.spin_sector_hamiltonian(p_z, qp)
-        want = _reference_sector_hamiltonian(p_z, qp)
-        assert np.array_equal(got, want), (m_e, eps, c, hbar, p_z)
-        # signed zeros agree too, except that the literal matrix writes -mf and
-        # c p_z, which are -0 at eps = 0 and p_z = -0; each block entry sums the
-        # scaled basis matrices, and a sum with a +0 term is never -0
-        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-        assert np.array_equal(np.signbit(got.real), np.signbit(want.real) & (want.real != 0))
-        negative_zero = np.signbit(want.real) & (want.real == 0)
-        assert negative_zero.any() == (eps == 0 or (p_z == 0 and math.copysign(1, p_z) < 0))
 
 
 def test_null_space_trivial_and_full():

@@ -25,6 +25,12 @@ def evaluate(solution, t, z, params):
     return solution.amplitudes * phase(solution, t, z, params)
 
 
+def _up_block(p_z, params):
+    """The block of H_D8(0, 0, p_z) on the spin-up slots (Psi_1, Psi_3, Phi_1, Phi_3)."""
+    up = pw.SPIN_SLOTS["up"]
+    return matrices.hamiltonian_d8((0.0, 0.0, p_z), params)[np.ix_(up, up)]
+
+
 def _amp(branch, p_z, qp=QP):
     """The spin-up solution's sector amplitudes as .b1, .b3, .d1, .d3, with its .form."""
     sol = pw.build_solution(branch, "up", p_z, qp)
@@ -71,7 +77,7 @@ def test_optical_minus_rest_limit():
     assert amp.b3 == 1.0
     assert amp.d3 == pytest.approx(-0.25)
     # it really is the rest-frame eigenvector at the negative optical energy
-    H = matrices.spin_sector_hamiltonian(0.0, QP)
+    H = _up_block(0.0, QP)
     v = np.array([amp.b1, amp.b3, amp.d1, amp.d3])
     E = branch_energy(OPTICAL_MINUS, 0.0, QP)
     assert np.linalg.norm(H @ v - E * v) < 1e-14
@@ -87,14 +93,16 @@ def test_secondary_amplitude_scales_as_eps_squared():
 
 def test_sector_amplitudes_parallel_to_modes():
     # planewaves and dispersion.modes each write out the branch vector (b, g b),
-    # with g = 1 or -eps^2 and the p_z = 0 limit of the negative optical branch
+    # with g = 1 or -eps^2 and the p_z = 0 limit of the negative optical branch;
+    # modes is the spin-up sector, and spin-down negates its Psi_4 and Phi_4
+    sign = {"up": np.ones(4), "down": np.array([1.0, -1.0, 1.0, -1.0])}
     for eps in (0.0, 0.5, 2.0):
         qp = QuantumParams(epsilon=eps, hbar=0.5)
         for p_z in (0.0, 0.7, -0.7, 3.0):
             _, R, _ = modes([p_z / qp.hbar], qp)
             for j, branch in enumerate(BRANCHES):
-                w = R[0, :, j]  # a unit vector
                 for spin in ("up", "down"):
+                    w = sign[spin] * R[0, :, j]  # a unit vector
                     v = pw.build_solution(branch, spin, p_z, qp).sector_amplitudes
                     v = v / np.linalg.norm(v)
                     assert np.linalg.norm(v - np.vdot(w, v) * w) < 1e-14, (eps, p_z, branch)
@@ -119,22 +127,41 @@ def test_acoustic_minus_cancellation():
         assert abs(f[4] + f[6]) < 1e-14 * scale
 
 
+# the spin flip: swap Psi_1 <-> Psi_2 and Psi_3 <-> Psi_4 in each sector, then
+# negate the new Psi_3, Psi_4 and Phi_3, Phi_4; it commutes with H_D8(0, 0, p_z)
+FLIP = np.diag([1.0, 1, -1, -1, 1, 1, -1, -1]) @ np.eye(8)[[1, 0, 3, 2, 5, 4, 7, 6]]
+
+
 def spin_flip(solution):
-    """Swap component indices 1<->2 and 3<->4 in both sectors (an involution)."""
+    """The solution with FLIP applied to its amplitudes and its spin label turned."""
     return replace(solution, spin="down" if solution.spin == "up" else "up",
-                   amplitudes=solution.amplitudes[[1, 0, 3, 2, 5, 4, 7, 6]])
+                   amplitudes=FLIP @ solution.amplitudes)
 
 
 def test_spin_flip_permutes_and_involutes():
+    assert np.array_equal(FLIP @ FLIP, np.eye(8))
     sol = pw.build_solution(ACOUSTIC_PLUS, "up", 1.0, QP)
     down = spin_flip(sol)
     assert down.spin == "down"
     assert np.array_equal(down.amplitudes,
-                          np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=complex))
+                          np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=complex))
     again = spin_flip(down)
     assert again.spin == "up"
     assert np.array_equal(again.amplitudes, sol.amplitudes)
     assert pw.residual(down, QP) < 1e-10
+    for eps in (0.0, 0.5, 2.0):
+        qp = QuantumParams(epsilon=eps)
+        for p_z in (0.0, 1.0, -2.5):
+            H = matrices.hamiltonian_d8((0.0, 0.0, p_z), qp)
+            assert np.array_equal(FLIP @ H, H @ FLIP), (eps, p_z)
+            for branch in BRANCHES:
+                up = pw.build_solution(branch, "up", p_z, qp)
+                down = pw.build_solution(branch, "down", p_z, qp)
+                # the p_z = 0 limit is seeded b3 = 1 in both spins, so the flip
+                # lands on it with the opposite sign
+                seed = -1 if up.form == "pz0-limit" else 1
+                assert np.array_equal(spin_flip(up).amplitudes, seed * down.amplitudes), (
+                    eps, p_z, branch)
 
 
 def test_residual_small_for_all_solutions():
@@ -219,16 +246,20 @@ def test_catalog_linear_independence():
 
 
 def test_catalog_matches_null_space():
-    p = 1.0
-    for sol in pw.catalog_eight(p, QP):
-        # spin-down solutions solve the index-relabeled system, equivalent to
-        # the eight-component operator at reversed momentum
-        H = matrices.hamiltonian_d8((0, 0, p if sol.spin == "up" else -p), QP)
-        basis = matrices.null_space(H - sol.E * np.eye(8), tol=1e-8)
-        assert basis.any()
-        v = sol.amplitudes / np.linalg.norm(sol.amplitudes)
-        proj = (basis.conj() @ v) @ basis
-        assert np.linalg.norm(v - proj) < 1e-10
+    # both spins solve the one eight-component operator at +p_z
+    for eps in (0.0, 0.5, 2.0):
+        qp = QuantumParams(epsilon=eps)
+        for p in (0.0, 1.0, -2.5):
+            H = matrices.hamiltonian_d8((0, 0, p), qp)
+            for sol in pw.catalog_eight(p, qp):
+                a = sol.amplitudes
+                assert (np.max(np.abs(H @ a - sol.E * a))
+                        <= 1e-13 * qp.rest_energy * np.abs(a).max()), (eps, p, sol.branch, sol.spin)
+                basis = matrices.null_space(H - sol.E * np.eye(8), tol=1e-8)
+                assert basis.any()
+                v = a / np.linalg.norm(a)
+                proj = (basis.conj() @ v) @ basis
+                assert np.linalg.norm(v - proj) < 1e-10, (eps, p, sol.branch, sol.spin)
 
 
 def test_closed_form_vs_null_space_random_draws():

@@ -2,6 +2,7 @@
 here as references, and their readings must agree bit for bit."""
 
 import collections
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -152,3 +153,22 @@ def test_stated_readings_are_the_reports():
     for name, measured, tolerance in stated:
         assert (f"{checks[name].measured:.1e}", float(tolerance)) == (
             measured, checks[name].tolerance), name
+
+
+def test_catalog_residuals_catch_spin_down_as_a_plain_relabeling(monkeypatch):
+    # spin-down taken as spin-up with Psi_1 <-> Psi_2, Psi_3 <-> Psi_4 swapped in
+    # each sector and nothing negated: that solves H_D8 at -p_z, not at +p_z
+    build = planewaves.build_solution
+
+    def permuted(branch, spin, p_z, params):
+        up = build(branch, "up", p_z, params)
+        if spin == "up":
+            return up
+        return dataclasses.replace(up, spin="down",
+                                   amplitudes=up.amplitudes[[1, 0, 3, 2, 5, 4, 7, 6]])
+
+    monkeypatch.setattr(planewaves, "build_solution", permuted)
+    rep = verify.full_report()
+    failed = {c.name: c for c in rep.checks if not c.passed}
+    assert set(failed) == {"catalog residuals"}
+    assert failed["catalog residuals"].measured > 1.0
