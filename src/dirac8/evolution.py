@@ -209,8 +209,11 @@ def measure_group_velocity(spec: PacketSpec, params: QuantumParams,
     """Least-squares slope of the packet centroid versus time under exact evolution.
 
     The total displacement must stay below L/4 (wrap ambiguity) and above 10
-    grid spacings (the measurement floor).
+    grid spacings (the measurement floor), and a sample's c t_total / n_samples
+    below L/2: a longer move unwraps to a short step backwards.
     """
+    if params.c * t_total / n_samples >= L / 2:
+        raise ValueError("a packet can travel c * t_total / n_samples >= L/2 between samples")
     state = init_packet(spec, n_grid, L, params)
     times, positions = centroid_track(itertools.chain(
         [state], evolve_samples(state, t_total / n_samples, n_samples, params)))

@@ -16,26 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (BRANCHES, OPTICAL_MINUS, OPTICAL_PLUS, Branch,
-                         amplitude_pair, branch_energy)
+from .dispersion import BRANCHES, OPTICAL_MINUS, Branch, amplitude_pair, branch_energy
 from .matrices import hamiltonian_d8
 from .params import QuantumParams
 
 # positions of (b, b', d, d') in the eight-component vector, per spin
 SPIN_SLOTS = {"up": [0, 2, 4, 6], "down": [1, 3, 5, 7]}
-
-# Fault-injection hooks for verifying that the checks are sensitive.
-# Known fault names: "b3-ratio" (scales the positive-optical amplitude ratio).
-_FAULTS: set[str] = set()
-
-
-def set_fault(name: str | None) -> None:
-    """Enable a named amplitude fault, or clear all faults with None."""
-    _FAULTS.clear()
-    if name is not None:
-        if name != "b3-ratio":
-            raise ValueError(f"unknown fault {name!r}")
-        _FAULTS.add(name)
 
 
 @dataclass(frozen=True)
@@ -79,8 +65,6 @@ def build_solution(branch: Branch, spin: str, p_z: float,
         sector, form = (0.0, 1.0, 0.0, g), "pz0-limit"
     else:
         ratio = pair_b3 / pair_b1 if spin == "up" else -pair_b3 / pair_b1
-        if branch == OPTICAL_PLUS and "b3-ratio" in _FAULTS:
-            ratio *= 1.01
         sector = (1.0, ratio, g, ratio * g)
         form = "rationalized" if branch == OPTICAL_MINUS else "closed-form"
     sol = PlaneWaveSolution(branch=branch, spin=spin, p_z=p_z,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dirac8 import dispersion as dsp
-from dirac8 import planewaves as pw
 from dirac8.params import ContinuumParams, ParameterError, QuantumParams
 
 
@@ -171,24 +170,6 @@ def test_branch_energy_array_equals_scalar_calls(eps):
     for b in dsp.BRANCHES:
         scalar = np.array([dsp.branch_energy(b, p, qp) for p in ps.tolist()])
         assert np.array_equal(dsp.branch_energy(b, ps, qp), scalar)
-
-
-def test_modes_ignore_the_amplitude_fault():
-    # the fault hook scales planewaves' positive-optical ratio only; the
-    # eigensystem that evolution runs on must not see it
-    qp = QuantumParams(epsilon=0.5)
-    ks = np.linspace(-3.0, 3.0, 41)
-    clean = dsp.modes(ks, qp)
-    clean_b3 = pw.build_solution(dsp.OPTICAL_PLUS, "up", 1.0, qp).sector_amplitudes[1]
-    pw.set_fault("b3-ratio")
-    try:
-        faulted = dsp.modes(ks, qp)
-        faulted_b3 = pw.build_solution(dsp.OPTICAL_PLUS, "up", 1.0, qp).sector_amplitudes[1]
-    finally:
-        pw.set_fault(None)
-    assert faulted_b3 == pytest.approx(1.01 * clean_b3, rel=1e-14)
-    for a, b in zip(clean, faulted):
-        assert np.array_equal(a, b)
 
 
 def test_modes_take_a_scalar_as_one_wavenumber():

@@ -185,6 +185,15 @@ def test_group_velocity_displacement_guard():
                                    t_total=5.0, n_samples=5)
 
 
+def test_group_velocity_refuses_a_sample_step_of_half_the_ring():
+    # one sample carries the packet past L/2, which the unwrap reads as a short
+    # step backwards: the slope would be -0.111 for a packet moving at +c
+    spec = evo.PacketSpec(k0=1.0, sigma=4.0, branch=ACOUSTIC_PLUS, center=20.0)
+    with pytest.raises(ValueError, match="L/2"):
+        evo.measure_group_velocity(spec, QP, n_grid=512, L=100.0, t_total=90.0,
+                                   n_samples=1)
+
+
 def test_acoustic_packet_rigid_transport():
     # linear dispersion: the packet crosses the periodic domain without
     # changing shape

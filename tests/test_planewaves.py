@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dirac8 import matrices, planewaves as pw
+from dirac8 import matrices, planewaves as pw, verify
 from dirac8.dispersion import (ACOUSTIC_MINUS, ACOUSTIC_PLUS, BRANCHES,
                                OPTICAL_MINUS, OPTICAL_PLUS, branch_energy, modes)
 from dirac8.params import QuantumParams
@@ -280,12 +280,12 @@ def test_closed_form_vs_null_space_random_draws():
     assert np.linalg.norm(v - proj, axis=1).max() < 1e-10
 
 
-def test_fault_hook():
-    pw.set_fault("b3-ratio")
-    try:
-        sol = pw.build_solution(OPTICAL_PLUS, "up", 1.0, QP)
-        assert pw.residual(sol, QP) > 1e-4 * QP.rest_energy
-    finally:
-        pw.set_fault(None)
-    with pytest.raises(ValueError):
-        pw.set_fault("no-such-fault")
+def test_fault_hook(monkeypatch):
+    # planewaves holds no fault; the self-check's one fault is an argument of
+    # full_report, which refuses an unknown name before any section runs
+    def forbidden():
+        raise AssertionError("a section ran under an unknown fault")
+
+    monkeypatch.setattr(matrices, "check_algebra", forbidden)
+    with pytest.raises(ValueError, match="unknown fault 'no-such-fault'"):
+        verify.full_report(corrupt="no-such-fault")

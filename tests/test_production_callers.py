@@ -16,9 +16,8 @@ import dirac8
 PACKAGE = Path(dirac8.__file__).parent
 
 UNCALLED = {
-    # ROADMAP item 1, the chain of limits as verify checks, will call these two
+    # ROADMAP item 1, the chain of limits as verify checks, will call it
     "evolution.evolve_kgf",
-    "params.ContinuumParams.from_quantum",
     # ROADMAP item 5 will call it for the evolve summary; the packet workload calls it
     "evolution.conserved_quadratic",
     "cli._SubcommandParser.error",  # argparse calls this override

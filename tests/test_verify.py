@@ -37,10 +37,21 @@ def _reference_squaring(rng):
     return worst4, worst8
 
 
-def _reference_deviation(branch, p_z, qp):
+def _b3_ratio(solution):
+    """solution with the b3/b1 ratio of the positive optical branch scaled by 1.01."""
+    if solution.branch != dispersion.OPTICAL_PLUS:
+        return solution
+    amplitudes = solution.amplitudes.copy()
+    amplitudes[planewaves.SPIN_SLOTS[solution.spin][1::2]] *= 1.01
+    return dataclasses.replace(solution, amplitudes=amplitudes)
+
+
+def _reference_deviation(branch, p_z, qp, fault):
     """One amplitude vector against a null-space basis from its own SVD."""
     E = dispersion.branch_energy(branch, p_z, qp)
     sol = planewaves.build_solution(branch, "up", p_z, qp)
+    if fault is not None:
+        sol = _b3_ratio(sol)
     H = matrices.hamiltonian_d8((0.0, 0.0, p_z), qp)
     _, s, vh = np.linalg.svd(H - E * np.eye(8))
     norm = s[0] if s[0] > 0 else 1.0
@@ -52,13 +63,13 @@ def _reference_deviation(branch, p_z, qp):
     return float(np.linalg.norm(v - proj))
 
 
-def _reference_amplitudes(rng):
+def _reference_amplitudes(rng, fault):
     worst = 0.0
     for _ in range(50):
         p = rng.uniform(-5, 5)
         qp = QuantumParams(epsilon=rng.uniform(0.05, 2.0))
         for b in dispersion.BRANCHES:
-            worst = max(worst, _reference_deviation(b, p, qp))
+            worst = max(worst, _reference_deviation(b, p, qp, fault))
     return worst
 
 
@@ -90,15 +101,37 @@ def _readings(section, *args):
 @pytest.mark.parametrize("fault", [None, "b3-ratio"])
 def test_stacked_draw_sections_equal_the_per_draw_loops(fault):
     # full_report hands one generator to the squaring and then the amplitude section
-    planewaves.set_fault(fault)
-    try:
-        for seed in range(40):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _readings(verify._squaring_checks, rng) == list(_reference_squaring(ref))
-            assert _readings(verify._amplitude_checks, rng) == [_reference_amplitudes(ref)]
-            assert rng.bit_generator.state == ref.bit_generator.state
-    finally:
-        planewaves.set_fault(None)
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _readings(verify._squaring_checks, rng) == list(_reference_squaring(ref))
+        assert (_readings(verify._amplitude_checks, rng, fault)
+                == [_reference_amplitudes(ref, fault)])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_the_library_stays_clean_during_a_faulted_report(monkeypatch):
+    # the chain section runs between the faulted sections; a library call made
+    # there builds the clean solution
+    qp = QuantumParams(epsilon=0.5)
+    clean = planewaves.build_solution(dispersion.OPTICAL_PLUS, "up", 1.0, qp)
+    chain_checks, seen = verify._chain_checks, []
+
+    def spy(rep):
+        seen.append(planewaves.build_solution(dispersion.OPTICAL_PLUS, "up", 1.0, qp))
+        chain_checks(rep)
+
+    monkeypatch.setattr(verify, "_chain_checks", spy)
+    assert len(verify.full_report(corrupt="b3-ratio").failures) == 3
+    assert len(seen) == 1 and np.array_equal(seen[0].amplitudes, clean.amplitudes)
+
+
+@pytest.mark.parametrize("epsilon", (0.0, 0.5, 5.0))
+def test_an_outside_patch_of_build_solution_gives_the_faulted_report(monkeypatch, epsilon):
+    # the fault applied by wrapping the library's constructor, as a harness would
+    faulted = verify.full_report(epsilon, corrupt="b3-ratio").to_rows()
+    build = planewaves.build_solution
+    monkeypatch.setattr(planewaves, "build_solution", lambda *args: _b3_ratio(build(*args)))
+    assert verify.full_report(epsilon).to_rows() == faulted
 
 
 def test_stacked_matrix_sections_equal_the_per_matrix_loops():
