@@ -123,15 +123,18 @@ def _pass(shape, columns, start: int, stop: int) -> str:
     """The CSV lines of rows start to stop of ``_csv``'s table.
 
     A pass gathers from each column its own rows and no more; a column that
-    broadcasts is read at index 0 along its length-1 axes.  The float columns
-    are taken first and written by ``textfmt.cells``, byte for byte as
-    ``repr`` writes them; then every column's cells and the separators are
-    laid into one NUL-padded byte block, compacted once and decoded once.
+    broadcasts is read at index 0 along its length-1 axes, and one that
+    broadcasts along every axis is its one cell, spread over the rows.  The
+    float columns are taken first and written by ``textfmt.cells``, byte for
+    byte as ``repr`` writes them; then every column's cells and the separators
+    are laid into one NUL-padded byte block, compacted once and decoded once.
     """
     index = np.unravel_index(np.arange(start, stop), shape)
 
     def rows(col):
-        return col[tuple(i if n > 1 else 0 for i, n in zip(index, col.shape))]
+        cells = col[tuple(i if n > 1 else 0 for i, n in zip(index, col.shape))]
+        return cells if cells.ndim > col.ndim - len(shape) else np.broadcast_to(
+            cells, (stop - start,) + cells.shape)
 
     written = iter(textfmt.cells(np.stack([rows(col) for col in columns
                                            if col.dtype != np.uint8])))
@@ -280,32 +283,15 @@ def cmd_evolve(args) -> int:
         branch = dispersion.parse_branch(args.branch)
         spec = evolution.PacketSpec(k0=args.k0, sigma=args.sigma, branch=branch,
                                     center=args.center)
-        state0 = evolution.init_packet(spec, args.n_grid, args.L, qp)
+        times, positions, snapshots = evolution.packet_track(spec, qp, args.n_grid, args.L,
+                                                             args.t_total, args.samples)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-    if args.t_total * args.t_total == 0:  # the centroid fit scales the times by their norm
-        raise _UsageError(f"--t-total {args.t_total!r} is too short to square")
-    dt = args.t_total / args.samples
-    if qp.c * dt >= args.L / 2:  # no branch outruns c, so this bounds a step's travel
-        raise _UsageError(f"a packet can travel c * t_total / samples = {qp.c * dt!r}, "
-                          "at least L/2, between samples; raise --samples")
-    snapshots = [state0]
-
-    def track():  # every sample, keeping the snapshots at samples // 2 and samples
-        yield state0
-        samples = evolution.evolve_samples(state0, dt, args.samples, qp)
-        for i, state in enumerate(samples, start=1):
-            if i in (args.samples // 2, args.samples):
-                snapshots.append(state)
-            yield state
-
-    times, positions = evolution.centroid_track(track())
 
     intensities = np.array([np.abs(s.fields) ** 2 for s in snapshots]).transpose(1, 0, 2)
     head = _header(units, args.epsilon) + ["t,z,psi1_sq,psi3_sq,phi1_sq,phi3_sq"]
     _write(args.output, _csv(head, intensities.shape[1:], [
-        textfmt.cells([s.t for s in snapshots])[:, None], textfmt.cells(state0.z)[None],
+        textfmt.cells([s.t for s in snapshots])[:, None], textfmt.cells(snapshots[0].z)[None],
         *intensities]))
 
     v_meas, _ = evolution.centroid_velocity(times, positions, args.L)

@@ -23,7 +23,6 @@ of D.  Both systems have four rows per grid point and share one state type,
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -203,24 +202,44 @@ def conserved_quadratic(state: FieldState, params: QuantumParams) -> float:
     return float(np.sum(np.abs(_project(state, Lt)) ** 2))
 
 
+def packet_track(spec: PacketSpec, params: QuantumParams, n_grid: int, L: float, t_total: float,
+                 n_samples: int) -> tuple[np.ndarray, np.ndarray, list[FieldState]]:
+    """Times and centroids of an ``init_packet`` run sampled n_samples times over
+    t_total, and its states at samples 0, n_samples // 2 and n_samples.
+
+    A t_total that squares to 0 and a sample step dt = t_total / n_samples with
+    c dt >= L/2 are refused: a step of L/2 or more unwraps to a short one backwards.
+    """
+    state = init_packet(spec, n_grid, L, params)
+    if t_total * t_total == 0:  # the centroid fit scales the times by their norm
+        raise ValueError(f"t_total {t_total!r} is too short to square")
+    dt = t_total / n_samples
+    if params.c * dt >= L / 2:  # no branch outruns c, so this bounds a step's travel
+        raise ValueError(f"a packet can travel c * t_total / n_samples = {params.c * dt!r}, "
+                         "at least L/2, between samples; take more samples")
+    snapshots = [state]
+
+    def track():  # every sample, keeping the snapshots at n_samples // 2 and n_samples
+        yield state
+        for i, sample in enumerate(evolve_samples(state, dt, n_samples, params), start=1):
+            if i in (n_samples // 2, n_samples):
+                snapshots.append(sample)
+            yield sample
+
+    times, positions = centroid_track(track())
+    return times, positions, snapshots
+
+
 def measure_group_velocity(spec: PacketSpec, params: QuantumParams,
                            n_grid: int = 1024, L: float = 200.0,
                            t_total: float = 40.0, n_samples: int = 20) -> float:
-    """Least-squares slope of the packet centroid versus time under exact evolution.
-
-    The total displacement must stay below L/4 (wrap ambiguity) and above 10
-    grid spacings (the measurement floor), and a sample's c t_total / n_samples
-    below L/2: a longer move unwraps to a short step backwards.
-    """
-    if params.c * t_total / n_samples >= L / 2:
-        raise ValueError("a packet can travel c * t_total / n_samples >= L/2 between samples")
-    state = init_packet(spec, n_grid, L, params)
-    times, positions = centroid_track(itertools.chain(
-        [state], evolve_samples(state, t_total / n_samples, n_samples, params)))
+    """Least-squares slope of the ``packet_track`` centroids versus time; the net displacement
+    must stay below L/4 (wrap ambiguity) and above 10 grid spacings (the measurement floor)."""
+    times, positions, snapshots = packet_track(spec, params, n_grid, L, t_total, n_samples)
     slope, displacement = centroid_velocity(times, positions, L)
     if displacement > L / 4:
         raise ValueError("packet displacement exceeds L/4; shorten the run")
-    if displacement < 10 * state.dz:
+    if displacement < 10 * snapshots[0].dz:
         raise ValueError("packet displacement below the measurement floor; lengthen the run")
     return slope
 

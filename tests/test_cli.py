@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac8 import chain, verify
+from dirac8 import chain, evolution, verify
 from dirac8.cli import build_parser, main
-from dirac8.params import ChainParams
+from dirac8.dispersion import OPTICAL_PLUS
+from dirac8.params import ChainParams, QuantumParams
 
 
 def run(argv, capsys=None):
@@ -122,7 +123,7 @@ def test_verify_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
-    # the CLI has no fault flag; switch the library's fault hook on under it
+    # the CLI has no fault flag; pass verify's corrupt= argument under it
     full_report = verify.full_report
     monkeypatch.setattr(verify, "full_report",
                         lambda **kwargs: full_report(corrupt="b3-ratio", **kwargs))
@@ -512,6 +513,17 @@ def test_one_usable_cpu_writes_the_same_bytes(passes, tmp_path, monkeypatch):
     assert two == {"dirac8-csv_0", "dirac8-csv_1"} and one == {"dirac8-csv_0"}
 
 
+def test_csv_spreads_a_column_that_broadcasts_along_every_axis(passes):
+    # a (1, 1) float column and a (1, 1, w) written column on a (37, 1) table of
+    # several passes: each pass writes their one cell on every row
+    from dirac8 import cli
+    values = np.random.default_rng(23).standard_normal((37, 1))
+    label = np.array([b"z"]).view(np.uint8).reshape(1, 1, -1)
+    text = "".join(cli._csv(["a,b,c"], (37, 1), [label, np.array([[-0.25]]), values]))
+    assert text == "a,b,c\n" + "".join(f"z,-0.25,{v!r}\n" for v in values[:, 0].tolist())
+    assert len(passes) > 2
+
+
 @pytest.mark.parametrize("samples", ["0", "-3", "two"])
 def test_evolve_rejects_nonpositive_samples(samples):
     proc = _python("-m", "dirac8.cli", "evolve", "--samples", samples)
@@ -542,6 +554,68 @@ def test_evolve_snapshots_at_half_and_full_run(samples, picks, tmp_path):
     frames = list(dict.fromkeys(row[0] for row in rows))
     assert frames == [repr(t) for t in [0.0] + [i * (40.0 / samples) for i in picks]]
     assert len(rows) == 256 * len(frames)
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_evolve_on_a_one_point_grid_writes_its_fields(to_stdout, tmp_path, capsys):
+    # the grid's one z cell broadcasts along both axes of the (frames, 1) table
+    csv = tmp_path / "s.csv"
+    argv = ["evolve", "--n-grid", "1", "--L", "5", "--sigma", "20", "--summary", os.devnull]
+    assert main(argv + ([] if to_stdout else ["-o", str(csv)])) == 0
+    text = capsys.readouterr().out if to_stdout else csv.read_text()
+    spec = evolution.PacketSpec(k0=1.0, sigma=20.0, branch=OPTICAL_PLUS, center=50.0)
+    _, _, snapshots = evolution.packet_track(spec, QuantumParams(epsilon=0.5), 1, 5.0, 40.0, 20)
+    assert text.splitlines()[3:] == [
+        ",".join(repr(v) for v in [s.t, 0.0, *(np.abs(s.fields[:, 0]) ** 2).tolist()])
+        for s in snapshots]
+    assert len(snapshots) == 3
+
+
+@pytest.mark.parametrize("n_grid", ["1", "2"])
+def test_evolve_on_one_and_two_point_grids_never_raises(n_grid, capsys):
+    codes = []
+    for L in ("5", "10", "100"):
+        for sigma in ("1", "20", "1e3"):
+            codes.append(main(["evolve", "--n-grid", n_grid, "--L", L, "--sigma", sigma,
+                               "--summary", os.devnull]))
+            err = capsys.readouterr().err
+            assert codes[-1] in (0, 2) and len(err.splitlines()) == codes[-1] // 2, (L, sigma)
+    assert 0 in codes and 2 in codes
+
+
+# c * (t_total / samples) and (c * t_total) / samples round apart at these inputs
+_BOUNDARY = {"--c": "8.004545511716518", "--t-total": "14.814725367191441", "--samples": "17",
+             "--sigma": "0.5", "--center": "5"}
+
+
+@pytest.mark.parametrize("L, refused", [(13.951193346501777, False),
+                                        (13.951193346501775, True)])  # L/2 = c dt: refused
+def test_cli_and_library_take_one_sample_step_decision(L, refused, capsys):
+    code = main(["evolve", "--L", repr(L), "--summary", os.devnull, "-o", os.devnull,
+                 *(a for item in _BOUNDARY.items() for a in item)])
+    err = capsys.readouterr().err
+    qp = QuantumParams(epsilon=0.5, c=float(_BOUNDARY["--c"]))
+    spec = evolution.PacketSpec(k0=1.0, sigma=0.5, branch=OPTICAL_PLUS, center=5.0)
+    # the run is far longer than L/4, so the library refuses it either way; by which rule?
+    with pytest.raises(ValueError) as caught:
+        evolution.measure_group_velocity(spec, qp, 1024, L, float(_BOUNDARY["--t-total"]), 17)
+    assert ("L/2" in str(caught.value)) is refused
+    assert code == (2 if refused else 0)
+    assert err == (f"dirac8 evolve: error: {caught.value}\n" if refused else "")
+
+
+@pytest.mark.parametrize("t_total, samples, rule", [(7.2e-309, 8, "square"),
+                                                    (400.0, 1, "L/2")])
+def test_each_sampling_refusal_is_packet_tracks(t_total, samples, rule, capsys):
+    spec = evolution.PacketSpec(k0=1.0, sigma=5.0, branch=OPTICAL_PLUS, center=50.0)
+    qp = QuantumParams(epsilon=0.5)
+    with pytest.raises(ValueError, match=rule) as track:
+        evolution.packet_track(spec, qp, 1024, 200.0, t_total, samples)
+    with pytest.raises(ValueError, match=rule) as measure:
+        evolution.measure_group_velocity(spec, qp, 1024, 200.0, t_total, samples)
+    assert str(measure.value) == str(track.value)
+    assert main(["evolve", "--t-total", repr(t_total), "--samples", str(samples)]) == 2
+    assert capsys.readouterr().err == f"dirac8 evolve: error: {track.value}\n"
 
 
 @pytest.mark.parametrize("argv", [

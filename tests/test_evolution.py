@@ -194,6 +194,20 @@ def test_group_velocity_refuses_a_sample_step_of_half_the_ring():
                                    n_samples=1)
 
 
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 20])
+def test_packet_track_keeps_the_start_middle_and_end_states(n_samples):
+    spec = evo.PacketSpec(k0=1.0, sigma=5.0, branch=OPTICAL_PLUS, center=50.0)
+    state = evo.init_packet(spec, 256, 100.0, QP)
+    samples = list(evo.evolve_samples(state, 20.0 / n_samples, n_samples, QP))
+    times, positions, snapshots = evo.packet_track(spec, QP, 256, 100.0, 20.0, n_samples)
+    # sample n_samples // 2 is the start state itself when n_samples is 1
+    kept = [state] + [samples[i - 1] for i in sorted({n_samples // 2, n_samples} - {0})]
+    assert [s.t for s in snapshots] == [s.t for s in kept]
+    assert all(np.array_equal(a.fields, b.fields) for a, b in zip(snapshots, kept, strict=True))
+    ref_times, ref_positions = evo.centroid_track([state, *samples])
+    assert np.array_equal(times, ref_times) and np.array_equal(positions, ref_positions)
+
+
 def test_acoustic_packet_rigid_transport():
     # linear dispersion: the packet crosses the periodic domain without
     # changing shape
