@@ -14,8 +14,10 @@ the conjugate of its plus branch's, and only half the exponentials are taken.
 No numerical eigen-solve is involved, and at k = 0, where the acoustic
 energies coincide, the two acoustic vectors stay independent by construction.
 The tests cross-check it with an RK4 method-of-lines stepper on the assembled
-sector matrices.  A packet's position is its intensity-weighted circular
-mean, taken along a stream of states by ``centroid_track``.  The second-order system x'' = -D x
+sector matrices.  A packet built on one branch stays on it, so ``packet_track``
+advances its spectrum by that branch's phase alone and reads each position,
+the intensity-weighted circular mean, from the spectrum; it inverse-transforms
+only the states it keeps.  The second-order system x'' = -D x
 evolves per mode by its closed-form propagator in cos and sinc of the roots
 of D.  Both systems have four rows per grid point and share one state type,
 ``FieldState(fields, L, t)``.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import BRANCHES, Branch, modal_pair, modes
+from .dispersion import BRANCHES, Branch, branch_energy, modal_pair, modes
 from .params import ContinuumParams, QuantumParams
 
 
@@ -149,31 +151,6 @@ def evolve_samples(state: FieldState, dt: float, n_samples: int,
         yield FieldState(np.fft.ifft(coeffs, axis=1), state.L, state.t + t)
 
 
-def centroid_track(states) -> tuple[np.ndarray, np.ndarray]:
-    """Times and centroids of states on one grid, as two float arrays.
-
-    A centroid is the intensity-weighted circular mean position over the
-    periodic domain.  The states are read one at a time, so a generator of
-    them is never held whole; exp(i theta) over the grid is formed once, from
-    the first state.
-    """
-    times, positions, circle = [], [], None
-    for state in states:
-        if circle is None:
-            theta = 2 * math.pi * state.z / state.L
-            circle, grid = np.exp(1j * theta), (state.n_grid, state.L)
-        elif (state.n_grid, state.L) != grid:
-            raise ValueError("centroid track states must share one grid")
-        intensity = np.sum(np.abs(state.fields) ** 2, axis=0)
-        total = intensity.sum()
-        if total == 0:
-            raise ValueError("zero field has no centroid")
-        mean = np.sum(intensity * circle) / total
-        times.append(state.t)
-        positions.append(float(np.angle(mean) % (2 * math.pi)) * state.L / (2 * math.pi))
-    return np.array(times), np.array(positions)
-
-
 def centroid_velocity(times, positions, L: float) -> tuple[float, float]:
     """Least-squares slope of a centroid track on a ring of length L.
 
@@ -207,6 +184,16 @@ def packet_track(spec: PacketSpec, params: QuantumParams, n_grid: int, L: float,
     """Times and centroids of an ``init_packet`` run sampled n_samples times over
     t_total, and its states at samples 0, n_samples // 2 and n_samples.
 
+    The packet lives on one branch b, so every row of the start state's
+    spectrum F = fft(fields) = R_b a advances by the one phase
+    exp(-i E_b t / hbar).  A centroid is the intensity-weighted circular mean
+    position, the angle of sum_z |f(z)|^2 exp(2 pi i z / L), which over the
+    spectrum is (1/N) sum_k G(k) phase(k) conj(phase(k+1)) with the overlap
+    G(k) = F(k) . conj(F(k+1)) = rho(k) a(k) conj(a(k+1)), rho(k) = R_b(k) . R_b(k+1),
+    built once; k+1 wraps around the DFT index.  So a sample costs one
+    exponential, and only the kept states are inverse transformed.  Each
+    product is written with its operands in a fixed order (see ``evolve_samples``).
+
     A t_total that squares to 0 and a sample step dt = t_total / n_samples with
     c dt >= L/2 are refused: a step of L/2 or more unwraps to a short one backwards.
     """
@@ -217,16 +204,21 @@ def packet_track(spec: PacketSpec, params: QuantumParams, n_grid: int, L: float,
     if params.c * dt >= L / 2:  # no branch outruns c, so this bounds a step's travel
         raise ValueError(f"a packet can travel c * t_total / n_samples = {params.c * dt!r}, "
                          "at least L/2, between samples; take more samples")
+    energy = branch_energy(spec.branch, params.hbar * _wavenumbers(n_grid, L), params)
+    spectrum = np.fft.fft(state.fields, axis=1)
+    overlap = np.sum(np.multiply(spectrum, np.conjugate(np.roll(spectrum, -1, axis=1))), axis=0)
+    times, positions = np.empty(n_samples + 1), np.empty(n_samples + 1)
     snapshots = [state]
-
-    def track():  # every sample, keeping the snapshots at n_samples // 2 and n_samples
-        yield state
-        for i, sample in enumerate(evolve_samples(state, dt, n_samples, params), start=1):
-            if i in (n_samples // 2, n_samples):
-                snapshots.append(sample)
-            yield sample
-
-    times, positions = centroid_track(track())
+    for i in range(n_samples + 1):
+        t = i * dt
+        times[i] = state.t + t
+        phase = np.exp((-1j * t / params.hbar) * energy)
+        pair = np.multiply(phase, np.conjugate(np.roll(phase, -1)))
+        cross = np.sum(np.multiply(overlap, pair))
+        positions[i] = float(np.angle(cross) % (2 * math.pi)) * L / (2 * math.pi)
+        if i and i in (n_samples // 2, n_samples):
+            fields = np.fft.ifft(np.multiply(spectrum, phase), axis=1)
+            snapshots.append(FieldState(fields, L, state.t + t))
     return times, positions, snapshots
 
 

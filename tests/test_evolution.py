@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -51,9 +52,35 @@ def evolve_rk4(state, dt, n_steps, params):
     return evo.FieldState(fields, state.L, state.t + dt * n_steps)
 
 
+def centroid_track(states) -> tuple[np.ndarray, np.ndarray]:
+    """Times and centroids of states on one grid, as two float arrays: the
+    real-space reference for ``packet_track``'s spectral centroids.
+
+    A centroid is the intensity-weighted circular mean position over the
+    periodic domain.  The states are read one at a time, so a generator of
+    them is never held whole; exp(i theta) over the grid is formed once, from
+    the first state.
+    """
+    times, positions, circle = [], [], None
+    for state in states:
+        if circle is None:
+            theta = 2 * math.pi * state.z / state.L
+            circle, grid = np.exp(1j * theta), (state.n_grid, state.L)
+        elif (state.n_grid, state.L) != grid:
+            raise ValueError("centroid track states must share one grid")
+        intensity = np.sum(np.abs(state.fields) ** 2, axis=0)
+        total = intensity.sum()
+        if total == 0:
+            raise ValueError("zero field has no centroid")
+        mean = np.sum(intensity * circle) / total
+        times.append(state.t)
+        positions.append(float(np.angle(mean) % (2 * math.pi)) * state.L / (2 * math.pi))
+    return np.array(times), np.array(positions)
+
+
 def packet_centroid(state):
     """Intensity-weighted circular mean position over the periodic domain."""
-    return float(evo.centroid_track([state])[1][0])
+    return float(centroid_track([state])[1][0])
 
 
 def packet_width(state):
@@ -203,9 +230,30 @@ def test_packet_track_keeps_the_start_middle_and_end_states(n_samples):
     # sample n_samples // 2 is the start state itself when n_samples is 1
     kept = [state] + [samples[i - 1] for i in sorted({n_samples // 2, n_samples} - {0})]
     assert [s.t for s in snapshots] == [s.t for s in kept]
-    assert all(np.array_equal(a.fields, b.fields) for a, b in zip(snapshots, kept, strict=True))
-    ref_times, ref_positions = evo.centroid_track([state, *samples])
-    assert np.array_equal(times, ref_times) and np.array_equal(positions, ref_positions)
+    assert np.array_equal(snapshots[0].fields, state.fields)
+    peak = np.abs(state.fields).max()
+    for got, want in zip(snapshots[1:], kept[1:], strict=True):
+        assert np.abs(got.fields - want.fields).max() <= 1e-15 * peak
+    assert times.tolist() == [s.t for s in [state, *samples]]
+
+
+# (n_grid, L, sigma): one point, and grids on either side of numpy's 256 KiB temporaries
+@pytest.mark.parametrize("n_grid, L, sigma", [(1, 5.0, 20.0), (256, 200.0, 5.0),
+                                              (8192, 200.0, 5.0)])
+def test_packet_track_centroids_are_the_real_space_centroids(n_grid, L, sigma):
+    n_samples = 6
+    for eps, hbar in itertools.product((0.0, 0.5, 2.0), (1.0, 0.7)):
+        qp = QuantumParams(epsilon=eps, hbar=hbar)
+        for branch in BRANCHES:
+            for k0 in (0.0, 1.3):
+                spec = evo.PacketSpec(k0=k0, sigma=sigma, branch=branch, center=0.6 * L)
+                times, positions, _ = evo.packet_track(spec, qp, n_grid, L, 10.0, n_samples)
+                state = evo.init_packet(spec, n_grid, L, qp)
+                ref_times, ref_positions = centroid_track(
+                    [state, *evo.evolve_samples(state, 10.0 / n_samples, n_samples, qp)])
+                assert np.array_equal(times, ref_times)
+                gap = np.abs(np.mod(positions - ref_positions + L / 2, L) - L / 2)
+                assert gap.max() <= 1e-12 * L, (eps, hbar, branch.label, k0, gap.max())
 
 
 def test_acoustic_packet_rigid_transport():
@@ -509,6 +557,42 @@ def test_evolve_samples_match_the_plain_loop_bit_for_bit(n_grid):
                 assert all(map(_same_bits, got, want)), (eps, hbar, branch.label, k0)
 
 
+def _reference_track(spec, params, n_grid, L, t_total, n_samples):
+    """The plain one-branch loop: every sample's centroid and fields from the start
+    state's spectrum, each product written spectrum times phase with named operands."""
+    state = evo.init_packet(spec, n_grid, L, params)
+    E, _, _ = modes(evo._wavenumbers(n_grid, L), params)
+    spectrum = np.fft.fft(state.fields, axis=1)
+    overlap = np.sum(np.multiply(spectrum, np.conjugate(np.roll(spectrum, -1, axis=1))), axis=0)
+    positions, fields = [], []
+    for i in range(n_samples + 1):
+        t = i * (t_total / n_samples)
+        phase = np.exp((-1j * t / params.hbar) * E[:, BRANCHES.index(spec.branch)])
+        pair = np.multiply(phase, np.conjugate(np.roll(phase, -1)))
+        cross = np.sum(np.multiply(overlap, pair))
+        positions.append(float(np.angle(cross) % (2 * math.pi)) * L / (2 * math.pi))
+        fields.append(np.fft.ifft(np.multiply(spectrum, phase), axis=1))
+    return np.array(positions), fields
+
+
+# 16384 points make each phase array 256 KiB, where numpy reuses temporaries
+def test_packet_track_matches_the_plain_loop_bit_for_bit():
+    n_grid, n_samples = 16384, 4
+    for eps, hbar in ((0.0, 1.0), (0.5, 0.7), (2.0, 1.0)):
+        qp = QuantumParams(epsilon=eps, hbar=hbar)
+        for branch in BRANCHES:
+            for k0 in (0.0, 1.3):
+                spec = evo.PacketSpec(k0=k0, sigma=5.0, branch=branch, center=120.0)
+                _, positions, snapshots = evo.packet_track(spec, qp, n_grid, 200.0, 8.0,
+                                                           n_samples)
+                want_positions, want_fields = _reference_track(spec, qp, n_grid, 200.0, 8.0,
+                                                               n_samples)
+                assert _same_bits(positions, want_positions), (eps, hbar, branch.label, k0)
+                got = [s.fields for s in snapshots[1:]]
+                assert all(map(_same_bits, got, [want_fields[2], want_fields[4]])), \
+                    (eps, hbar, branch.label, k0)
+
+
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_modes_energies_are_exact_negation_pairs(eps):
     # the minus branches' phases are conjugates of the plus branches' only
@@ -523,7 +607,7 @@ def test_centroid_track_matches_the_one_state_formula():
     spec = evo.PacketSpec(k0=1.0, sigma=5.0, branch=OPTICAL_MINUS, center=150.0)
     state = evo.init_packet(spec, 512, 200.0, QP)
     states = [state, *evo.evolve_samples(state, 4.0, 5, QP)]
-    times, positions = evo.centroid_track(iter(states))
+    times, positions = centroid_track(iter(states))
     assert list(times) == [s.t for s in states]
     for s, pos in zip(states, positions):
         intensity = np.sum(np.abs(s.fields) ** 2, axis=0)
@@ -535,6 +619,6 @@ def test_centroid_track_matches_the_one_state_formula():
 def test_centroid_track_needs_one_grid():
     a = evo.FieldState(np.ones((4, 8), dtype=complex), 1.0)
     with pytest.raises(ValueError, match="one grid"):
-        evo.centroid_track([a, evo.FieldState(np.ones((4, 16), dtype=complex), 1.0)])
+        centroid_track([a, evo.FieldState(np.ones((4, 16), dtype=complex), 1.0)])
     with pytest.raises(ValueError, match="one grid"):
-        evo.centroid_track([a, evo.FieldState(np.ones((4, 8), dtype=complex), 2.0)])
+        centroid_track([a, evo.FieldState(np.ones((4, 8), dtype=complex), 2.0)])
